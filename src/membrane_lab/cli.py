@@ -15,7 +15,6 @@ from . import _jsonfmt
 from .analysis import analyze
 from .config import config_dir, load_layer_sequence
 from .errors import MembraneLabError, SolverError
-from .harmonicity import RATIO_TARGETS, RATIO_TOLERANCES
 from .loading import (
     LayerStep,
     optimize_graded,
@@ -85,8 +84,6 @@ def _cmd_optimize(args) -> int:
             budget=args.budget,
             seed=args.seed,
         )
-        doc = result.to_json_dict()
-        doc["profile"] = result.profile.to_json_dict()
     else:
         result = optimize_two_region(
             fraction_bounds=(args.fraction_min, args.fraction_max),
@@ -95,8 +92,8 @@ def _cmd_optimize(args) -> int:
             budget=args.budget,
             seed=args.seed,
         )
-        doc = result.to_json_dict()
-        doc["profile"] = result.profile.to_json_dict()
+    doc = result.to_json_dict()
+    doc["profile"] = result.profile.to_json_dict()
     doc["assigned_ratios"] = [
         {
             "ratio": e.ratio,
@@ -158,21 +155,19 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _tolerance_overrides(args) -> tuple[dict, dict]:
-    targets = dict(RATIO_TARGETS)
-    tolerances = dict(RATIO_TOLERANCES)
-    if args.tol_shift is not None:
-        tolerances["dheem_to_fundamental"] = args.tol_shift
-    if args.tol_dheem_chappu is not None:
-        tolerances["dheem_to_chappu"] = args.tol_dheem_chappu
-    if args.tol_nam_chappu is not None:
-        tolerances["nam_to_chappu"] = args.tol_nam_chappu
-    return targets, tolerances
+def _tolerance_overrides(args) -> dict:
+    """The ratio tolerances given on the command line; the analysis merges
+    them over its defaults."""
+    given = {
+        "dheem_to_fundamental": args.tol_shift,
+        "dheem_to_chappu": args.tol_dheem_chappu,
+        "nam_to_chappu": args.tol_nam_chappu,
+    }
+    return {name: tol for name, tol in given.items() if tol is not None}
 
 
 def _cmd_analyze(args) -> int:
     waveform, rate = read_wav(args.input)
-    targets, tolerances = _tolerance_overrides(args)
     report = analyze(
         waveform,
         rate,
@@ -180,8 +175,7 @@ def _cmd_analyze(args) -> int:
         min_prominence_db=args.min_prominence,
         max_peaks=args.max_peaks,
         f_search=tuple(args.f_search) if args.f_search else None,
-        targets=targets,
-        tolerances=tolerances,
+        tolerances=_tolerance_overrides(args),
     )
     if args.spectrum_csv:
         from .analysis import compute_spectrum

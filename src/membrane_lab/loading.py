@@ -3,8 +3,18 @@
 The search asks: what central loading makes the overtone series land on
 integers?  The objective is the harmonicity score of the lowest modes of
 the loaded membrane, minimised over a coarse deterministic grid followed
-by Nelder-Mead simplex refinement (the objective is piecewise-smooth with
-integer-assignment switches, so derivative-free it is).
+by bounded Nelder-Mead simplex refinement (the objective is
+piecewise-smooth with integer-assignment switches, so derivative-free it
+is).  Both searches, two-region and graded, share one skeleton.
+
+Budget accounting: `evaluations` in a result is the number of distinct
+profiles solved; a revisited point is served from the search's cache and
+costs nothing.  The budget caps new solves, and `budget_exhausted` is set
+exactly when the cap stopped the search, which may happen in the grid or
+in the simplex.  Otherwise the simplex stops once its vertices agree
+within 1e-9 in every coordinate and their values within 1e-12 (or, as a
+backstop, after 400 iterations).  The answer is the best point over
+everything evaluated, grid included.
 """
 
 from __future__ import annotations
@@ -25,6 +35,13 @@ DEFAULT_RATIO_BOUNDS = (1.0, 16.0)
 STABILIZATION_EPSILON = 0.002
 STABILIZATION_WINDOW = 3
 
+# Simplex stopping rule: every vertex within _SIMPLEX_XATOL of the best in
+# each coordinate and every value within _SIMPLEX_FATOL of the best value.
+# Fixed, so that the stop never hinges on last-ulp noise of the objective.
+_SIMPLEX_XATOL = 1e-9
+_SIMPLEX_FATOL = 1e-12
+_SIMPLEX_MAX_ITER = 400
+
 # Solver box for objective evaluations: enough azimuthal orders and radial
 # roots that every mode below (overtones + 1).5 x the implied fundamental
 # is present for any loading in bounds.
@@ -42,8 +59,8 @@ class TwoRegionCandidate:
     def __post_init__(self):
         if not (0.0 < self.patch_radius_fraction < 1.0):
             raise ValueError("patch_radius_fraction must lie in (0, 1)")
-        if self.density_ratio < 1.0:
-            raise ValueError("density_ratio must be >= 1")
+        if not (self.density_ratio >= 1.0 and math.isfinite(self.density_ratio)):
+            raise ValueError("density_ratio must be finite and >= 1")
 
     def to_profile(
         self, radius: float = 1.0, tension: float = 1.0, field_density: float = 1.0
@@ -115,15 +132,6 @@ class OptimizationResult:
         }
 
 
-def mode_frequencies_for_objective(
-    profile: RadialDensityProfile, count: int
-) -> np.ndarray:
-    """Lowest `count` merged eigenfrequencies, with a safe ceiling."""
-    ceiling = default_ceiling(profile, _OBJ_N_MAX, _OBJ_M_MAX)
-    table = composite_modes(profile, _OBJ_M_MAX, _OBJ_N_MAX, ceiling)
-    return table.frequencies[:count]
-
-
 def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> HarmonicAssessment:
     """Harmonicity over the window spanning `overtones` overtone pitches.
 
@@ -162,100 +170,96 @@ def _search_value(assessment: HarmonicAssessment, overtones: int) -> float:
     return assessment.score + 0.25 * missing
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-        self.exhausted = False
-
-    def take(self) -> bool:
-        if self.used >= self.limit:
-            self.exhausted = True
-            return False
-        self.used += 1
-        return True
+class _BudgetSpent(Exception):
+    """A new solve was asked for with the whole budget already spent."""
 
 
-def _nelder_mead(fn, x0, steps, bounds, budget: _Budget, f0=None):
-    """Deterministic bounded Nelder-Mead (reflect/expand/contract/shrink).
+def _nelder_mead(fn, simplex, bounds) -> None:
+    """Bounded Nelder-Mead, step for step scipy.optimize.minimize's
+    "Nelder-Mead" method (standard coefficients, trial points clipped into
+    `bounds`).  Runs until the simplex meets the _SIMPLEX_XATOL /
+    _SIMPLEX_FATOL stopping rule or _SIMPLEX_MAX_ITER iterations pass; the
+    caller keeps the evaluated points, and `fn` may raise to stop early.
+    Kept in-house because importing scipy.optimize alone adds ~40% to the
+    peak resident memory of a whole two-region design job."""
+    lo, hi = np.array(bounds, dtype=float).T
+    sim = np.array(simplex, dtype=float)
+    fsim = np.array([fn(x) for x in sim])
 
-    Points are clipped into bounds; returns the best vertex when the
-    simplex collapses or the shared budget runs out.
-    """
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    def trial(t):
+        """Point (1 + t) centroid - t worst, clipped; and its value."""
+        x = np.clip((1 + t) * centroid - t * sim[-1], lo, hi)
+        return x, fn(x)
 
-    def clipped(x):
-        return np.minimum(np.maximum(x, lo), hi)
-
-    def call(x):
-        if not budget.take():
-            return None
-        return fn(clipped(x))
-
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    values = [f0 if f0 is not None else call(simplex[0])]
-    if values[0] is None:
-        return np.array(x0), math.inf
-    for i in range(n):
-        vertex = np.array(x0, dtype=float)
-        vertex[i] = vertex[i] + steps[i] if vertex[i] + steps[i] <= hi[i] else vertex[i] - steps[i]
-        val = call(vertex)
-        if val is None:
-            break
-        simplex.append(vertex)
-        values.append(val)
-    while len(simplex) < n + 1:
-        simplex.append(simplex[0].copy())
-        values.append(values[0])
-
-    for _ in range(10_000):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if budget.exhausted or budget.used >= budget.limit:
-            break
-        if values[-1] - values[0] < 1e-14 and np.max(
-            np.abs(np.array(simplex[1:]) - simplex[0])
-        ) < 1e-12:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = clipped(centroid + (centroid - simplex[-1]))
-        fr = call(reflected)
-        if fr is None:
-            break
-        if fr < values[0]:
-            expanded = clipped(centroid + 2.0 * (centroid - simplex[-1]))
-            fe = call(expanded)
-            if fe is not None and fe < fr:
-                simplex[-1], values[-1] = expanded, fe
+    for _ in range(_SIMPLEX_MAX_ITER):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= _SIMPLEX_XATOL
+            and np.max(np.abs(fsim[1:] - fsim[0])) <= _SIMPLEX_FATOL
+        ):
+            return
+        centroid = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
+        xr, fr = trial(1.0)
+        if fr < fsim[0]:
+            xe, fe = trial(2.0)
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            outside = fr < fsim[-1]
+            xc, fc = trial(0.5 if outside else -0.5)
+            if (fc <= fr) if outside else (fc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
             else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = clipped(centroid + 0.5 * (simplex[-1] - centroid))
-        fc = call(contracted)
-        if fc is None:
-            break
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        # shrink toward the best vertex
-        stop = False
-        for i in range(1, n + 1):
-            simplex[i] = clipped(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
-            vi = call(simplex[i])
-            if vi is None:
-                stop = True
-                break
-            values[i] = vi
-        if stop:
-            break
-    best = int(np.argmin(values))
-    return simplex[best], values[best]
+                for j in range(1, len(sim)):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = fn(sim[j])
+
+
+def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=()):
+    """Minimise the search value of profile_at(x1, x2) over the box `bounds`.
+
+    Evaluates the points in `first`, then a _grid_side(budget)^2 grid, then
+    refines from the best point so far with _nelder_mead, its initial
+    simplex one grid spacing long on each axis.  The cache of solved points
+    is the budget's ledger: revisits are free, and the search stops when a
+    new solve would exceed `budget`.
+
+    Returns (x, distinct solves, budget exhausted), where x is the
+    _select_best point over everything evaluated.
+    """
+    cache: dict[tuple[float, float], float] = {}
+
+    def objective(x) -> float:
+        key = (float(x[0]), float(x[1]))
+        if key not in cache:
+            if len(cache) >= budget:
+                raise _BudgetSpent
+            assessment = harmonic_objective(profile_at(*key), overtones)
+            cache[key] = _search_value(assessment, overtones)
+        return cache[key]
+
+    def best() -> tuple[float, float]:
+        return _select_best((v, *k) for k, v in cache.items())[1:]
+
+    side = _grid_side(budget)
+    axes = [np.linspace(lo, hi, side) for lo, hi in bounds]
+    exhausted = False
+    try:
+        for x in [*first, *((float(a), float(b)) for a in axes[0] for b in axes[1])]:
+            objective(x)
+        x0 = np.array(best())
+        simplex = [x0]
+        for i, ((_, hi), axis) in enumerate(zip(bounds, axes)):
+            step = axis[1] - axis[0]
+            vertex = x0.copy()
+            vertex[i] += step if vertex[i] + step <= hi else -step
+            simplex.append(vertex)
+        _nelder_mead(objective, simplex, bounds)
+    except _BudgetSpent:
+        exhausted = True
+    return best(), len(cache), exhausted
 
 
 def optimize_two_region(
@@ -283,54 +287,20 @@ def optimize_two_region(
     if budget < 200:
         raise ValueError("budget must be >= 200")
 
-    cache: dict[tuple[float, float], float] = {}
-
-    def objective(x) -> float:
-        key = (float(x[0]), float(x[1]))
-        if key not in cache:
-            profile = RadialDensityProfile(
-                radius,
-                tension,
-                ((key[0], key[1] * field_density), (1.0, field_density)),
-            )
-            cache[key] = _search_value(harmonic_objective(profile, overtones), overtones)
-        return cache[key]
-
-    budget_box = _Budget(budget)
-    side = _grid_side(budget)
-    fracs = np.linspace(fraction_bounds[0], fraction_bounds[1], side)
-    ratios = np.linspace(ratio_bounds[0], ratio_bounds[1], side)
-    evaluated = []
-    for f in fracs:
-        for r in ratios:
-            if not budget_box.take():
-                break
-            evaluated.append((objective((f, r)), float(f), float(r)))
-    best_val, *best_x = _select_best(evaluated)
-
-    steps = (
-        (fraction_bounds[1] - fraction_bounds[0]) / (side - 1),
-        (ratio_bounds[1] - ratio_bounds[0]) / (side - 1),
-    )
-    x, val = _nelder_mead(
-        objective,
-        best_x,
-        steps,
+    x, evaluations, exhausted = _grid_simplex_search(
+        lambda f, r: TwoRegionCandidate(f, r).to_profile(radius, tension, field_density),
         (fraction_bounds, ratio_bounds),
-        budget_box,
-        f0=best_val,
+        overtones,
+        budget,
     )
-    if val > best_val:
-        x, val = np.array(best_x), best_val
-    candidate = TwoRegionCandidate(float(x[0]), float(x[1]))
+    candidate = TwoRegionCandidate(*x)
     profile = candidate.to_profile(radius, tension, field_density)
-    assessment = harmonic_objective(profile, overtones)
     return OptimizationResult(
         candidate=candidate,
         profile=profile,
-        assessment=assessment,
-        evaluations=budget_box.used,
-        budget_exhausted=budget_box.exhausted,
+        assessment=harmonic_objective(profile, overtones),
+        evaluations=evaluations,
+        budget_exhausted=exhausted,
         seed=seed,
     )
 
@@ -422,42 +392,23 @@ def optimize_graded(
     mass_bounds = (0.0, max(4.0 * seed_mass, 1e-9))
     taper_bounds = (0.0, 4.0)
 
-    cache: dict[tuple[float, float], float] = {}
-
-    def objective(x) -> float:
-        key = (float(x[0]), float(x[1]))
-        if key not in cache:
-            profile = graded_profile(a, key[0], key[1], rings, radius, tension, field_density)
-            cache[key] = _search_value(harmonic_objective(profile, overtones), overtones)
-        return cache[key]
-
-    budget_box = _Budget(budget)
-    side = _grid_side(budget)
-    masses = np.linspace(mass_bounds[0], mass_bounds[1], side)
-    tapers = np.linspace(taper_bounds[0], taper_bounds[1], side)
-    evaluated = []
     # the exact two-region equivalent is always evaluated first
-    for x in [(seed_mass, 0.0)] + [(float(m), float(t)) for m in masses for t in tapers]:
-        if not budget_box.take():
-            break
-        evaluated.append((objective(x), x[0], x[1]))
-    best_val, *best_x = _select_best(evaluated)
-    steps = (masses[1] - masses[0], tapers[1] - tapers[0])
-    x, val = _nelder_mead(
-        objective, best_x, steps, (mass_bounds, taper_bounds), budget_box, f0=best_val
+    x, evaluations, exhausted = _grid_simplex_search(
+        lambda m, t: graded_profile(a, m, t, rings, radius, tension, field_density),
+        (mass_bounds, taper_bounds),
+        overtones,
+        budget,
+        first=[(seed_mass, 0.0)],
     )
-    if val > best_val:
-        x, val = np.array(best_x), best_val
-    profile = graded_profile(a, float(x[0]), float(x[1]), rings, radius, tension, field_density)
-    assessment = harmonic_objective(profile, overtones)
+    profile = graded_profile(a, x[0], x[1], rings, radius, tension, field_density)
     return GradedResult(
         profile=profile,
         patch_fraction=a,
-        added_mass=float(x[0]),
-        taper_exponent=float(x[1]),
-        assessment=assessment,
-        evaluations=budget_box.used,
-        budget_exhausted=budget_box.exhausted,
+        added_mass=x[0],
+        taper_exponent=x[1],
+        assessment=harmonic_objective(profile, overtones),
+        evaluations=evaluations,
+        budget_exhausted=exhausted,
         seed=seed,
     )
 

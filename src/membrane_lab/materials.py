@@ -24,10 +24,12 @@ class MaterialSample:
     sound_velocity: float | None = None
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0 or self.density <= 0:
-            raise ValueError("Young's modulus and density must be positive")
-        if self.sound_velocity is not None and self.sound_velocity <= 0:
-            raise ValueError("sound velocity, when given, must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.youngs_modulus, self.density)):
+            raise ValueError("Young's modulus and density must be positive and finite")
+        if self.sound_velocity is not None and not (
+            self.sound_velocity > 0 and math.isfinite(self.sound_velocity)
+        ):
+            raise ValueError("sound velocity, when given, must be positive and finite")
 
     def velocity(self) -> float:
         """Supplied sound velocity, or sqrt(E/rho); warns when both exist

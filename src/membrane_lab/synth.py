@@ -122,10 +122,10 @@ class RenderSpec:
     peak_amplitude: float = 0.9
 
     def __post_init__(self):
-        if self.sample_rate < 8000:
+        if not self.sample_rate >= 8000:
             raise ValueError("sample_rate must be >= 8000 Hz")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ValueError("duration must be positive and finite")
         if self.duration * self.sample_rate > MAX_RENDER_SAMPLES:
             raise ValueError(f"render longer than {MAX_RENDER_SAMPLES} samples")
         if not (0.0 < self.peak_amplitude <= 1.0):

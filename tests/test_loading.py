@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from membrane_lab import loading
 from membrane_lab.config import load_layer_sequence, load_profile
 from membrane_lab.errors import SolverError
+from membrane_lab.harmonicity import HarmonicAssessment
 from membrane_lab.loading import (
     LayerStep,
     TwoRegionCandidate,
@@ -22,12 +26,22 @@ def steps_from_config(doc):
     return [LayerStep(s["r_frac"], s["dsigma_kg_m2"]) for s in doc["steps"]]
 
 
+def _quadratic_assessment(x, overtones):
+    """Stand-in objective with its minimum at (0.3, 7.0), off the grid."""
+    return HarmonicAssessment(1.0, (), (x[0] - 0.3) ** 2 + (x[1] - 7.0) ** 2, 1.0)
+
+
 class TestCandidateAndProfiles:
     def test_candidate_bounds(self):
         with pytest.raises(ValueError):
             TwoRegionCandidate(0.0, 2.0)
         with pytest.raises(ValueError):
             TwoRegionCandidate(0.5, 0.5)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_candidate_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError):
+            TwoRegionCandidate(0.4, ratio)
 
     def test_candidate_to_profile(self):
         p = TwoRegionCandidate(0.4, 3.0).to_profile(field_density=0.26)
@@ -44,8 +58,6 @@ class TestCandidateAndProfiles:
         assert all(b <= a + 1e-12 for a, b in zip(sigmas[:-1], sigmas[1:-1] + [sigmas[-1]]))
 
     def test_graded_profile_carries_requested_mass(self):
-        import math
-
         mass = 0.37
         p = graded_profile(0.45, mass, 1.7, rings=16, radius=0.1, field_density=0.3)
         edges = [0.0] + [f for f, _ in p.rings[:-1]]
@@ -104,19 +116,67 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_two_region(budget=50)
 
-    def test_budget_exhaustion_is_flagged_not_raised(self):
-        from membrane_lab.loading import _Budget, _nelder_mead
+    def test_budget_exhaustion_is_flagged_not_raised(self, monkeypatch):
+        # a 6 x 6 grid: budget 15 runs out in the grid, budget 40 in the simplex
+        monkeypatch.setattr(loading, "harmonic_objective", _quadratic_assessment)
+        for budget in (15, 40):
+            _, used, exhausted = loading._grid_simplex_search(
+                lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, budget
+            )
+            assert exhausted
+            assert used == budget
 
-        box = _Budget(15)
-        x, _ = _nelder_mead(
-            lambda p: (p[0] - 0.3) ** 2 + (p[1] - 7.0) ** 2,
-            (0.9, 2.0),
-            (0.1, 0.5),
-            ((0.0, 1.0), (1.0, 10.0)),
-            box,
+    def test_simplex_stops_on_tolerance_within_budget(self, monkeypatch):
+        monkeypatch.setattr(loading, "harmonic_objective", _quadratic_assessment)
+        x, used, exhausted = loading._grid_simplex_search(
+            lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, 1000
         )
-        assert box.exhausted
-        assert box.used == 15
+        assert not exhausted
+        assert used < 1000
+        assert x == pytest.approx((0.3, 7.0), abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "fn, x0, bounds",
+        [
+            (lambda x: (x[0] - 0.3) ** 2 + (x[1] - 7.0) ** 2, (0.9, 2.0),
+             ((0.0, 1.0), (1.0, 10.0))),
+            # Rosenbrock with its minimum outside the box: the clipped path
+            (lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, (-1.2, 1.0),
+             ((-2.0, 0.8), (-1.0, 2.0))),
+        ],
+    )
+    def test_nelder_mead_matches_scipy(self, fn, x0, bounds):
+        from scipy.optimize import minimize
+
+        simplex = np.array([x0, (x0[0] + 0.1, x0[1]), (x0[0], x0[1] + 0.5)])
+        ours, theirs = [], []
+        loading._nelder_mead(lambda x: ours.append(tuple(x)) or fn(x), simplex, bounds)
+        minimize(
+            lambda x: theirs.append(tuple(x)) or fn(x),
+            x0,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={
+                "initial_simplex": simplex,
+                "xatol": loading._SIMPLEX_XATOL,
+                "fatol": loading._SIMPLEX_FATOL,
+                "maxiter": 10 * loading._SIMPLEX_MAX_ITER,
+                "maxfev": 10 * loading._SIMPLEX_MAX_ITER,
+            },
+        )
+        assert ours == theirs
+
+    def test_evaluations_count_distinct_solves(self, monkeypatch):
+        solved = []
+
+        def counted(profile, overtones):
+            solved.append(profile.rings)
+            return harmonic_objective(profile, overtones)
+
+        monkeypatch.setattr(loading, "harmonic_objective", counted)
+        res = optimize_two_region(budget=200, seed=42)
+        assert res.evaluations == len(set(solved))
+        assert res.budget_exhausted == (res.evaluations == 200)
 
     def test_budget_accounting_consistent(self, quick_result):
         assert quick_result.evaluations <= 260
@@ -164,8 +224,6 @@ def graded_result(quick_result):
 
 class TestGraded:
     def test_taper_zero_seed_reproduces_two_region_score(self, quick_result):
-        import math
-
         cand = quick_result.candidate
         patch_area = math.pi * cand.patch_radius_fraction ** 2
         seed_mass = (cand.density_ratio - 1.0) * patch_area

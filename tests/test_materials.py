@@ -58,6 +58,16 @@ class TestSRC:
         assert src == pytest.approx(9999.0 / 600.0)
 
 
+class TestSampleValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["youngs_modulus", "density", "sound_velocity"])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"youngs_modulus": 1e10, "density": 600.0, "sound_velocity": 4000.0}
+        fields[field] = value
+        with pytest.raises(ValueError):
+            MaterialSample("bad", **fields)
+
+
 class TestImpedance:
     def test_unit(self):
         assert impedance(MaterialSample("u", 1.0, 1.0, 1.0)) == 1.0

@@ -144,6 +144,14 @@ class TestRenderSpecValidation:
         with pytest.raises(ValueError):
             RenderSpec(peak_amplitude=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration", math.nan), ("duration", math.inf), ("sample_rate", math.nan)],
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            RenderSpec(**{field: value})
+
 
 class TestTemplates:
     def test_needs_content(self):
