@@ -218,11 +218,16 @@ def detect_peaks(
 
 
 def _comb_eval(freqs, mags, candidate):
-    """Match mask, integer multiples, and closeness-weighted score at one tooth spacing."""
+    """Match mask, integer multiples, and closeness-weighted score per tooth spacing.
+
+    candidate is a scalar or a column of candidates, which broadcasts
+    against the peaks; the score has one entry per candidate.
+    """
     k = np.maximum(np.rint(freqs / candidate), 1.0)
-    rel_err = np.abs(freqs - k * candidate) / (k * candidate)
+    target = k * candidate
+    rel_err = np.abs(freqs - target) / target
     sel = rel_err <= COMB_TOLERANCE
-    score = float(np.sum(np.where(sel, (1.0 - rel_err / COMB_TOLERANCE) * mags, 0.0)))
+    score = np.sum(np.where(sel, (1.0 - rel_err / COMB_TOLERANCE) * mags, 0.0), axis=-1)
     return sel, k, score
 
 
@@ -262,14 +267,7 @@ def group_harmonics(
     candidates = np.arange(lo, hi, resolution)
     if candidates.size == 0:
         candidates = np.array([lo])
-    # (candidate, peak) grids
-    k = np.rint(freqs[None, :] / candidates[:, None])
-    k = np.maximum(k, 1.0)
-    target = k * candidates[:, None]
-    rel_err = np.abs(freqs[None, :] - target) / target
-    matched = rel_err <= COMB_TOLERANCE
-    closeness = np.where(matched, 1.0 - rel_err / COMB_TOLERANCE, 0.0)
-    scores = (closeness * mags[None, :]).sum(axis=1)
+    matched, k, scores = _comb_eval(freqs, mags, candidates[:, None])
     # remaining ties go to the higher candidate (sub-octaves explain the
     # same peaks with bigger k)
     order = np.lexsort((candidates, scores))

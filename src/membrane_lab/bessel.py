@@ -4,9 +4,9 @@ The membrane solvers only ever need integer orders up to 12 and arguments
 below a few hundred, so the evaluation contract is narrow: |error| <= 1e-10
 for J on x <= 100 and 1e-8 for Y on [1e-3, 100].  Evaluation is delegated to
 scipy.special (which comfortably beats both bounds; the test suite checks
-them against high-precision references); zero finding is done here by
-bracketing sign changes and bisecting, which keeps it deterministic and
-dependency-free.
+them against high-precision references), and zeros come from
+scipy.special.jn_zeros.  scipy.special is imported on first use, so
+importing the package (and the commands that never solve) stays light.
 """
 
 from __future__ import annotations
@@ -14,29 +14,25 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 MAX_ORDER = 12
 MAX_ZERO_INDEX = 20
 
-# Scan stride while hunting for sign changes of J_m.  Consecutive zeros of
-# J_m are separated by more than pi, so 0.5 cannot step over a pair.
-_ZERO_SCAN_STEP = 0.5
-_BISECT_CAP = 200
 
-
-def _check_order(order: int, limit: int = MAX_ORDER) -> int:
+def _check_order(order: int) -> int:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise DomainError(f"order must be an integer, got {order!r}")
-    if order < 0 or order > limit:
-        raise DomainError(f"order must be in [0, {limit}], got {order}")
+    if order < 0 or order > MAX_ORDER:
+        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {order}")
     return int(order)
 
 
 def bessel_j(order: int, x):
     """J_order(x) for integer order in [0, 12]; x may be a scalar or array."""
+    from scipy import special
+
     order = _check_order(order)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
@@ -47,6 +43,8 @@ def bessel_j(order: int, x):
 
 def bessel_y(order: int, x):
     """Y_order(x) for integer order in [0, 12]; diverges at the origin."""
+    from scipy import special
+
     order = _check_order(order)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 1e-12) or not np.all(np.isfinite(arr)):
@@ -55,64 +53,14 @@ def bessel_y(order: int, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def bessel_j_prime(order: int, x):
-    """d/dx J_order(x) via the two-sided recurrence; J0' = -J1."""
-    order = _check_order(order, limit=MAX_ORDER + 1)
-    if order == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(order - 1, x) - bessel_j(order + 1, x))
-
-
-def bessel_y_prime(order: int, x):
-    """d/dx Y_order(x); Y0' = -Y1."""
-    order = _check_order(order, limit=MAX_ORDER + 1)
-    if order == 0:
-        return -bessel_y(1, x)
-    return 0.5 * (bessel_y(order - 1, x) - bessel_y(order + 1, x))
-
-
 @lru_cache(maxsize=None)
 def bessel_zero(order: int, index: int) -> float:
-    """index-th positive zero of J_order (index counts from 1).
+    """index-th positive zero of J_order (index counts from 1)."""
+    from scipy import special
 
-    Sign changes are located by an upward scan starting just past the
-    order (J_m has no positive zeros below m) and polished by bisection to
-    well under the 1e-9 contract.
-    """
     order = _check_order(order)
     if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
         raise DomainError(f"index must be an integer, got {index!r}")
     if index < 1 or index > MAX_ZERO_INDEX:
         raise DomainError(f"index must be in [1, {MAX_ZERO_INDEX}], got {index}")
-
-    lo = max(float(order), 1e-6)
-    f_lo = bessel_j(order, lo)
-    found = 0
-    while True:
-        hi = lo + _ZERO_SCAN_STEP
-        f_hi = bessel_j(order, hi)
-        if f_lo == 0.0:
-            # Scan landed exactly on a zero; count it and move on.
-            found += 1
-            if found == index:
-                return lo
-        elif f_lo * f_hi < 0.0:
-            found += 1
-            if found == index:
-                return _bisect_j(order, lo, hi, f_lo)
-        lo, f_lo = hi, f_hi
-
-
-def _bisect_j(order: int, lo: float, hi: float, f_lo: float) -> float:
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * mid:
-            return mid
-        f_mid = bessel_j(order, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return float(special.jn_zeros(order, index)[-1])

@@ -377,6 +377,8 @@ def optimize_graded(
     taper 0 reproduces it exactly), so the graded best can only match or
     beat the step profile.
     """
+    if budget < 200:
+        raise ValueError("budget must be >= 200")
     if two_region_seed is None:
         two_region_seed = optimize_two_region(
             overtones=overtones,

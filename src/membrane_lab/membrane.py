@@ -9,8 +9,11 @@ displacement of an azimuthal-order-m mode is
 with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
-The residual is evaluated on whole frequency grids at once, so the scan and
-the simultaneous bisection of all brackets stay vectorised.
+One kernel, _propagate, does that propagation for the scan, the dip
+refinement, the simultaneous bisection of all brackets and mode_shape.  It
+is evaluated on whole frequency grids at once, and takes slopes from the
+recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each
+boundary needs J and Y at orders m and m-1 only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime, bessel_y, bessel_y_prime, bessel_zero
+from .bessel import bessel_j, bessel_y, bessel_zero
 from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 
 # Scan resolution: 1/20 of the modal spacing of a uniform membrane at the
@@ -189,55 +192,59 @@ def uniform_modes(
     return _sorted_table(fp, modes)
 
 
-def _residual_mixed(
-    profile: RadialDensityProfile, orders: np.ndarray, freqs: np.ndarray
-) -> np.ndarray:
-    """Rim displacement of the unit-amplitude regular solution.
+def _propagate(profile: RadialDensityProfile, orders, freqs):
+    """Carry the regular solution outward across every ring boundary.
 
     Vectorised over frequency with a per-element azimuthal order, so one
-    call can polish brackets from every order at once.  The per-interface
-    2x2 solve uses the analytic Wronskian inverse
-    (J_m(x) Y_m'(x) - J_m'(x) Y_m(x) = 2 / (pi x)), and the coefficient
-    pair is renormalised by a positive factor after every interface so the
-    sign pattern, which the bracketing relies on, is preserved.
+    call can polish brackets from every order at once.  Ring i holds
+    u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1, B_1 = 0.
+    Returns ([(A_i, B_i, S_i) for each ring], D), where D is the rim
+    displacement divided by S_N.
+
+    The recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2) makes
+    du/dr + (m/r) u = k (A J_{m-1} + B Y_{m-1}); it is continuous wherever
+    u and du/dr are, so the 2x2 solve at each boundary carries it in place
+    of the slope and needs J and Y at orders m and m-1 only.  The solve
+    uses the analytic Wronskian inverse (J_m Y_{m-1} - J_{m-1} Y_m =
+    2 / (pi x)).  After every boundary (A, B) is divided by the positive
+    factor max(|A|, |B|), folded into S, so the sign of D, which the
+    bracketing relies on, is preserved.
     """
     from scipy import special
 
     freqs = np.asarray(freqs, dtype=float)
-    orders = np.broadcast_to(np.asarray(orders, dtype=float), freqs.shape)
+    m = np.broadcast_to(np.asarray(orders, dtype=float), freqs.shape)
     R = profile.radius
-    two_pi = 2.0 * math.pi
-    ks = [two_pi * freqs * math.sqrt(sig / profile.tension) for sig in profile.densities]
+    ks = [2.0 * math.pi * freqs * math.sqrt(sig / profile.tension) for sig in profile.densities]
 
     A = np.ones_like(freqs)
     B = np.zeros_like(freqs)
-    single = len(profile.rings) == 1
-    for i in range(len(profile.rings) - 1):
+    S = np.ones_like(freqs)
+    coeffs = [(A, B, S)]
+    for i in range(len(ks) - 1):
         rb = profile.rings[i][0] * R
         xl = ks[i] * rb
         xr = ks[i + 1] * rb
-        u = A * special.jv(orders, xl)
-        du = ks[i] * A * special.jvp(orders, xl)
-        if i > 0:
-            u = u + B * special.yv(orders, xl)
-            du = du + ks[i] * B * special.yvp(orders, xl)
-        det = 2.0 / (math.pi * rb)
-        A = (ks[i + 1] * special.yvp(orders, xr) * u - special.yv(orders, xr) * du) / det
-        B = (special.jv(orders, xr) * du - ks[i + 1] * special.jvp(orders, xr) * u) / det
+        u = A * special.jv(m, xl)
+        w = A * special.jv(m - 1, xl)
+        if i > 0:  # no Y term in the first ring
+            u = u + B * special.yv(m, xl)
+            w = w + B * special.yv(m - 1, xl)
+        w = ks[i] * w
+        half_pi_rb = 0.5 * math.pi * rb
+        A = half_pi_rb * (ks[i + 1] * special.yv(m - 1, xr) * u - special.yv(m, xr) * w)
+        B = half_pi_rb * (special.jv(m, xr) * w - ks[i + 1] * special.jv(m - 1, xr) * u)
         scale = np.maximum(np.abs(A), np.abs(B))
         scale = np.where(scale > 0.0, scale, 1.0)
         A = A / scale
         B = B / scale
+        S = S * scale
+        coeffs.append((A, B, S))
     last = ks[-1] * R
-    D = A * special.jv(orders, last)
-    if not single:
-        D = D + B * special.yv(orders, last)
-    return D
-
-
-def _boundary_residual(profile: RadialDensityProfile, m: int, freqs: np.ndarray) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=float)
-    return _residual_mixed(profile, np.full_like(freqs, float(m)), freqs)
+    D = A * special.jv(m, last)
+    if len(ks) > 1:
+        D = D + B * special.yv(m, last)
+    return coeffs, D
 
 
 def _bisect_mixed(
@@ -256,7 +263,7 @@ def _bisect_mixed(
         active = (hi - lo) > BISECT_RTOL * np.abs(mid)
         if not active.any():
             return mid
-        d_mid = _residual_mixed(profile, orders, mid)
+        _, d_mid = _propagate(profile, orders, mid)
         go_left = (d_lo * d_mid) < 0.0
         hi = np.where(active & go_left, mid, hi)
         move_right = active & ~go_left
@@ -276,7 +283,7 @@ def _refine_interval(
     batch.
     """
     grid = np.linspace(lo, hi, 9)
-    d = _boundary_residual(profile, m, grid)
+    _, d = _propagate(profile, m, grid)
     brackets: list[tuple[float, float, float]] = []
     sign_change = d[:-1] * d[1:] < 0.0
     idx = np.nonzero(sign_change)[0]
@@ -306,7 +313,7 @@ def _scan_brackets(
         grid = grid[grid <= f_ceiling + step]
         if f_prev is not None:
             grid = np.concatenate(([f_prev], grid))
-        d = _boundary_residual(profile, m, grid)
+        _, d = _propagate(profile, m, grid)
         if d_prev is not None:
             d[0] = d_prev
         sign_change = d[:-1] * d[1:] < 0.0
@@ -417,28 +424,15 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
             f"(mode fingerprint {mode.source_fingerprint!r}, profile {fp!r})"
         )
     R = profile.radius
-    two_pi = 2.0 * math.pi
-    ks = [two_pi * mode.frequency * math.sqrt(sig / profile.tension) for sig in profile.densities]
-
-    coeffs = [(1.0, 0.0)]
-    for i in range(len(profile.rings) - 1):
-        rb = profile.rings[i][0] * R
-        xl = ks[i] * rb
-        xr = ks[i + 1] * rb
-        a, b = coeffs[-1]
-        u = a * bessel_j(mode.m, xl) + b * bessel_y(mode.m, xl)
-        du = ks[i] * (a * bessel_j_prime(mode.m, xl) + b * bessel_y_prime(mode.m, xl))
-        det = 2.0 / (math.pi * rb)
-        a_next = (ks[i + 1] * bessel_y_prime(mode.m, xr) * u - bessel_y(mode.m, xr) * du) / det
-        b_next = (bessel_j(mode.m, xr) * du - ks[i + 1] * bessel_j_prime(mode.m, xr) * u) / det
-        coeffs.append((a_next, b_next))
+    ks = [2.0 * math.pi * mode.frequency * math.sqrt(sig / profile.tension) for sig in profile.densities]
+    coeffs, _ = _propagate(profile, mode.m, mode.frequency)
 
     r = np.linspace(0.0, R, samples)
     boundaries = np.array([f * R for f, _ in profile.rings])
     region = np.searchsorted(boundaries, r, side="left")
     region = np.clip(region, 0, len(profile.rings) - 1)
     u = np.empty_like(r)
-    for i, (a, b) in enumerate(coeffs):
+    for i, (a, b, scale) in enumerate(coeffs):
         mask = region == i
         if not mask.any():
             continue
@@ -447,7 +441,7 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
         if b != 0.0:
             # Y_m blows up at the origin but interior regions never touch r=0.
             val = val + b * bessel_y(mode.m, np.maximum(x, 1e-300))
-        u[mask] = val
+        u[mask] = scale * val
     u /= np.max(np.abs(u))
     u[-1] = 0.0  # clamped rim, exact by construction
     return u

@@ -103,3 +103,26 @@ def two_region_modes(
         if len(roots) == n_max:
             break
     return roots
+
+
+def two_region_shape(
+    f: float, m: int, radius: float, tension: float,
+    patch_fraction: float, sigma_inner: float, sigma_outer: float, r: np.ndarray,
+) -> np.ndarray:
+    """Closed-form radial shape of a density-step mode, normalised to max |u| = 1.
+
+    J_m(k1 r) inside the step; outside, the rim-clamped combination
+    Y_m(k2 R) J_m(k2 r) - J_m(k2 R) Y_m(k2 r), scaled to match the inner
+    displacement at the step.
+    """
+    a = patch_fraction * radius
+    k1 = 2.0 * math.pi * f * math.sqrt(sigma_inner / tension)
+    k2 = 2.0 * math.pi * f * math.sqrt(sigma_outer / tension)
+
+    def outer(x):
+        return special.yv(m, k2 * radius) * special.jv(m, x) - special.jv(m, k2 * radius) * special.yv(m, x)
+
+    outside = r > a
+    u = special.jv(m, k1 * r)
+    u[outside] = special.jv(m, k1 * a) / outer(k2 * a) * outer(k2 * r[outside])
+    return u / np.max(np.abs(u))

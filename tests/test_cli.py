@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,12 +210,25 @@ class TestOptimizeCommand:
         assert 0.0 <= doc["score"]
         assert "profile" in doc
 
+    def test_graded_rejects_small_budget(self, capsys):
+        assert run("optimize", "--graded", "--budget", "0") == 2
+        assert "budget must be >= 200" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run("optimize", "--budget", "210", "--seed", "42", "-o", str(a))
         run("optimize", "--budget", "210", "--seed", "42", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_loads_no_scipy_special():
+    # The commands that never solve should not pay for importing scipy.special.
+    import membrane_lab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(membrane_lab.__file__).parents[1])}
+    code = "import sys, membrane_lab.cli; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestJsonFormatter:

@@ -238,6 +238,15 @@ class TestGraded:
     def test_graded_shift_recorded_in_band(self, graded_result):
         assert 1.0 < graded_result.assessment.fundamental_shift < 1.25
 
+    def test_rejects_small_budget_before_seed_search(self, monkeypatch):
+        def no_seed_search(**kwargs):
+            raise AssertionError("the two-region seed search ran")
+
+        monkeypatch.setattr(loading, "optimize_two_region", no_seed_search)
+        for kwargs in ({}, {"two_region_seed": TwoRegionCandidate(0.4, 3.0)}):
+            with pytest.raises(ValueError, match="budget must be >= 200"):
+                optimize_graded(rings=4, budget=0, **kwargs)
+
     def test_graded_report_shape(self, graded_result):
         doc = graded_result.to_json_dict()
         assert set(doc) == {

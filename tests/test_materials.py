@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from membrane_lab.errors import InconsistentVelocityWarning, NonPositiveImpedance
@@ -108,6 +108,7 @@ class TestTransmission:
             transmission_coefficient(1.0, -2.0)
 
     @given(z1=st.floats(1e-3, 1e9), z2=st.floats(1e-3, 1e9))
+    @example(z1=0.001, z2=0.0010000000000000002)
     def test_bounded_in_unit_interval(self, z1, z2):
         t = transmission_coefficient(z1, z2)
         assert 0.0 < t <= 1.0

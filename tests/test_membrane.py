@@ -17,7 +17,7 @@ from membrane_lab.membrane import (
     uniform_modes,
 )
 
-from oracles import two_region_modes
+from oracles import two_region_modes, two_region_shape
 
 UNIFORM_DRUM_RATIOS = [1.0, 1.59, 2.14, 2.30, 2.65, 3.16, 3.50]
 
@@ -249,6 +249,25 @@ class TestModeShape:
 
         ref = special.jv(0, bessel_zero(0, 1) * r)
         assert np.max(np.abs(u[:-1] - ref[:-1])) < 1e-6
+
+    def test_matches_two_region_closed_form(self):
+        r = np.linspace(0.0, 1.0, 256)
+        for mode in self.table:
+            ref = two_region_shape(mode.frequency, mode.m, 1.0, 1.0, 0.4, 3.2, 1.0, r)
+            u = mode_shape(self.profile, mode, 256)
+            assert np.max(np.abs(u - ref)) < 1e-8
+
+    def test_32_rings_at_contrast_50(self):
+        fracs = np.arange(1, 33) / 32.0
+        profile = RadialDensityProfile(1.0, 1.0, tuple(zip(fracs, np.geomspace(50.0, 1.0, 32))))
+        table = composite_modes(profile, 8, 2, default_ceiling(profile, 2, 8))
+        for mode in table:
+            if mode.m not in (0, 8):
+                continue
+            u = mode_shape(profile, mode, 512)
+            assert np.all(np.isfinite(u))
+            assert np.max(np.abs(u)) == 1.0
+            assert self.interior_sign_changes(u) == mode.n - 1
 
     def test_profile_mismatch(self):
         other = two_ring(0.5, 3.2)
