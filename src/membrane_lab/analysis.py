@@ -10,7 +10,7 @@ the stroke.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -451,17 +451,15 @@ def segment_adsr(
 
 
 def _longest_run(mask: np.ndarray) -> tuple[int, int]:
-    best_start, best_len, start = 0, 0, None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            if i - start > best_len:
-                best_start, best_len = start, i - start
-            start = None
-    if start is not None and mask.size - start > best_len:
-        best_start, best_len = start, mask.size - start
-    return best_start, best_len
+    """(start, length) of the longest run of True, the earliest on a tie;
+    (0, 0) when there is none."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    if not starts.size:
+        return 0, 0
+    lengths = np.flatnonzero(edges == -1) - starts
+    best = int(np.argmax(lengths))
+    return int(starts[best]), int(lengths[best])
 
 
 def spectral_flatness(spectrum: Spectrum) -> float:
@@ -486,25 +484,21 @@ def spectral_centroid(spectrum: Spectrum) -> float:
 class ClipFeatures:
     """Everything the rule cascade looks at, extracted in one pass.
 
-    harmonic_indices and shifted_index refer to grouped_peaks (the strong,
-    de-duplicated list the comb search saw), not to the full peak list.
+    grouping's harmonic_indices and shifted_index refer to grouped_peaks
+    (the strong, de-duplicated list the comb search saw), not to the full
+    peak list.  decay is the fit on the dominant partial.
     """
 
     peaks: tuple[Peak, ...]
     flatness: float
     grouped_peaks: tuple[Peak, ...] = ()
-    fundamental: float | None = None
-    harmonic_indices: tuple[int, ...] = ()
-    shifted_index: int | None = None
     dominant_ratio: float | None = None
     dominant_prominence_db: float = 0.0
-    dominant_decay: float | None = None
     attack_centroid_ratio: float | None = None
     glide_drift: float = 0.0
     grouping: HarmonicGrouping | None = None
     adsr: AdsrSegmentation | None = None
     decay: DecayFit | None = None
-    report_extras: dict = field(default_factory=dict)
 
 
 def _merge_close_peaks(peaks, min_separation: float = 0.025):
@@ -584,7 +578,6 @@ def extract_features(
 
     dominant_ratio = None
     dominant_prominence = 0.0
-    dominant_decay = None
     attack_centroid_ratio = None
     glide_drift = 0.0
     decay_fit = None
@@ -596,7 +589,6 @@ def extract_features(
         band = max(30.0, 0.5 * f0)
         try:
             decay_fit = fit_decay(x, sample_rate, dominant.frequency, band)
-            dominant_decay = decay_fit.decay_constant
         except (InsufficientDecay, ValueError):
             decay_fit = None
         seg = x[: int(0.08 * sample_rate)]
@@ -612,12 +604,8 @@ def extract_features(
         peaks=peaks,
         flatness=flatness,
         grouped_peaks=tuple(strong),
-        fundamental=grouping.fundamental if grouping else None,
-        harmonic_indices=grouping.harmonic_indices if grouping else (),
-        shifted_index=grouping.shifted_index if grouping else None,
         dominant_ratio=dominant_ratio,
         dominant_prominence_db=dominant_prominence,
-        dominant_decay=dominant_decay,
         attack_centroid_ratio=attack_centroid_ratio,
         glide_drift=glide_drift,
         grouping=grouping,
@@ -637,12 +625,11 @@ def classify_stroke(features: ClipFeatures) -> tuple[str, float]:
     pitch glide) -> dominant-to-fundamental ratio (1.07 dheem; 2 chappu/dhi
     split on decay speed; 3 nam/araichappu split on attack brightness).
     """
-    strong = [p for p in features.peaks if p.prominence_db >= _PROMINENT_DB]
-    if not strong and features.flatness > _FLATNESS_CLOSED:
+    if not features.grouped_peaks and features.flatness > _FLATNESS_CLOSED:
         return "ta", _clamp01((features.flatness - 0.3) / 0.5)
     if (
         features.dominant_ratio is None
-        or features.fundamental is None
+        or features.grouping is None
         # genuinely tonal clips tower over the floor; chance alignments in
         # broadband noise never reach this prominence
         or features.dominant_prominence_db < _TONAL_MIN_PROMINENCE
@@ -664,7 +651,7 @@ def classify_stroke(features: ClipFeatures) -> tuple[str, float]:
         return "dheem", _clamp01(1.0 - abs(r - SHIFTED_RATIO) / _DHEEM_BAND)
     if abs(r - 2.0) <= _RATIO_BAND * 2.0:
         ratio_conf = _clamp01(1.0 - abs(r - 2.0) / (_RATIO_BAND * 2.0))
-        lam = features.dominant_decay
+        lam = features.decay.decay_constant if features.decay else None
         if lam is None or lam < _SLOW_DECAY_SPLIT:
             decay_conf = 1.0 if lam is None else _clamp01((_SLOW_DECAY_SPLIT - lam) / 2.5)
             return "chappu", min(ratio_conf, decay_conf)
@@ -697,19 +684,18 @@ def analyze(
 
     shift_ratio = None
     verdicts: tuple[CharacteristicRatioVerdict, ...] = ()
-    if features.grouping is not None:
-        f0 = features.grouping.fundamental
+    grouping = features.grouping
+    if grouping is not None:
+        f0 = grouping.fundamental
         grouped = features.grouped_peaks
         freqs = [p.frequency for p in grouped]
-        if features.shifted_index is not None:
-            shift_ratio = freqs[features.shifted_index] / f0
+        if grouping.shifted_index is not None:
+            shift_ratio = freqs[grouping.shifted_index] / f0
         elif freqs:
             shift_ratio = min(freqs) / f0
-        dheem_hz = (
-            freqs[features.shifted_index] if features.shifted_index is not None else None
-        )
+        dheem_hz = freqs[grouping.shifted_index] if grouping.shifted_index is not None else None
         by_k = {}
-        for i in features.harmonic_indices:
+        for i in grouping.harmonic_indices:
             k = int(round(freqs[i] / f0))
             if k not in by_k or grouped[i].magnitude > grouped[by_k[k]].magnitude:
                 by_k[k] = i
@@ -721,7 +707,7 @@ def analyze(
             )
     return AnalysisReport(
         peaks=features.peaks,
-        fundamental_hz=features.fundamental,
+        fundamental_hz=grouping.fundamental if grouping else None,
         shift_ratio=shift_ratio,
         verdicts=verdicts,
         decay=features.decay,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import _jsonfmt
 from .analysis import analyze
-from .config import config_dir, load_layer_sequence
+from .config import config_dir
 from .errors import MembraneLabError, SolverError
 from .loading import (
     LayerStep,
@@ -53,22 +53,23 @@ def _load_profile_arg(path: str) -> RadialDensityProfile:
     return RadialDensityProfile.loads(Path(path).read_text())
 
 
+def _solve(profile: RadialDensityProfile, m_max: int, n_max: int, f_ceiling: float | None):
+    """Solve the profile up to the given ceiling, or the default one."""
+    if f_ceiling is None:
+        f_ceiling = default_ceiling(profile, n_max, m_max)
+    return composite_modes(profile, m_max, n_max, f_ceiling)
+
+
 def _load_table_source(path: str, m_max: int, n_max: int, f_ceiling: float | None):
     """A modes source is either a density profile or a serialised table."""
     doc = json.loads(Path(path).read_text())
     if "modes" in doc:
         return ModeTable.from_json_dict(doc)
-    profile = RadialDensityProfile.from_json_dict(doc)
-    ceiling = f_ceiling if f_ceiling else default_ceiling(profile, n_max, m_max)
-    return composite_modes(profile, m_max, n_max, ceiling)
+    return _solve(RadialDensityProfile.from_json_dict(doc), m_max, n_max, f_ceiling)
 
 
 def _cmd_modes(args) -> int:
-    profile = _load_profile_arg(args.profile)
-    ceiling = args.f_ceiling if args.f_ceiling else default_ceiling(
-        profile, args.n_max, args.m_max
-    )
-    table = composite_modes(profile, args.m_max, args.n_max, ceiling)
+    table = _solve(_load_profile_arg(args.profile), args.m_max, args.n_max, args.f_ceiling)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
     else:
@@ -115,8 +116,8 @@ def _cmd_layers(args) -> int:
         profile,
         steps,
         stabilization=(
-            args.epsilon if args.epsilon else stab.get("epsilon", 0.002),
-            args.window if args.window else stab.get("window", 3),
+            args.epsilon if args.epsilon is not None else stab.get("epsilon", 0.002),
+            args.window if args.window is not None else stab.get("window", 3),
         ),
     )
     if args.format == "json":

@@ -377,6 +377,10 @@ def optimize_graded(
     taper 0 reproduces it exactly), so the graded best can only match or
     beat the step profile.
     """
+    if not (4 <= rings <= 32):
+        raise ValueError("rings must lie in [4, 32]")
+    if not (3 <= overtones <= 7):
+        raise ValueError("overtones must lie in [3, 7]")
     if budget < 200:
         raise ValueError("budget must be >= 200")
     if two_region_seed is None:

@@ -9,11 +9,11 @@ displacement of an azimuthal-order-m mode is
 with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
-One kernel, _propagate, does that propagation for the scan, the dip
-refinement, the simultaneous bisection of all brackets and mode_shape.  It
-is evaluated on whole frequency grids at once, and takes slopes from the
-recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each
-boundary needs J and Y at orders m and m-1 only.
+The scan walks all azimuthal orders at once (one grid row per order),
+refines suspicious dips in one batch per level and bisects every bracket in
+lockstep; one kernel, _propagate, serves each step and mode_shape.  Slopes
+come from the recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2),
+so each boundary needs J and Y at orders m and m-1 only.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 SCAN_DIVISIONS = 20
 BISECT_RTOL = 1e-11
 BISECT_CAP = 200
-# A dip of |D| this far below its neighbours without a sign change gets a
-# 4x finer look, in case two near-degenerate roots hide inside one step.
+# A local |D| minimum this far below its row's median, with no sign change
+# beside it, gets a 4x finer look: two near-degenerate roots may hide there.
 _DIP_RATIO = 1e-3
 
 
@@ -195,9 +195,10 @@ def uniform_modes(
 def _propagate(profile: RadialDensityProfile, orders, freqs):
     """Carry the regular solution outward across every ring boundary.
 
-    Vectorised over frequency with a per-element azimuthal order, so one
-    call can polish brackets from every order at once.  Ring i holds
-    u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1, B_1 = 0.
+    Orders broadcast against frequencies, so one call evaluates rows of
+    frequency grids (one per order) or polishes brackets from every order
+    at once.  Ring i holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with
+    A_1 = S_1 = 1, B_1 = 0.
     Returns ([(A_i, B_i, S_i) for each ring], D), where D is the rim
     displacement divided by S_N.
 
@@ -212,8 +213,7 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     """
     from scipy import special
 
-    freqs = np.asarray(freqs, dtype=float)
-    m = np.broadcast_to(np.asarray(orders, dtype=float), freqs.shape)
+    m, freqs = np.broadcast_arrays(np.asarray(orders, dtype=float), np.asarray(freqs, dtype=float))
     R = profile.radius
     ks = [2.0 * math.pi * freqs * math.sqrt(sig / profile.tension) for sig in profile.densities]
 
@@ -274,73 +274,43 @@ def _bisect_mixed(
     )
 
 
-def _refine_interval(
-    profile: RadialDensityProfile, m: int, lo: float, hi: float, levels: int = 2
-) -> tuple[list[tuple[float, float, float]], list[float]]:
-    """Re-scan a suspicious interval at 4x finer steps, recursing once more.
+def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
+    """Sign-change brackets of the rim displacement along rows of frequency grids.
 
-    Returns (brackets, exact roots); bisection happens later in the shared
-    batch.
+    Row i of the grid belongs to azimuthal order orders[i]; the two
+    broadcast together.  Returns a (4, k) array of (order, lo, hi, D(lo))
+    columns; a grid point where D is exactly zero comes back as a
+    zero-width bracket, which the bisection returns as it is.
+
+    A local minimum of |D| far below its row's median, with no sign change
+    on either side, may hide a near-degenerate pair: it gets a 4x finer
+    look on a 9-point row spanning its two neighbours, and a dip there gets
+    one more.  Each level evaluates all of its rows in one _propagate call.
     """
-    grid = np.linspace(lo, hi, 9)
-    _, d = _propagate(profile, m, grid)
-    brackets: list[tuple[float, float, float]] = []
-    sign_change = d[:-1] * d[1:] < 0.0
-    idx = np.nonzero(sign_change)[0]
-    if idx.size:
-        brackets = [(float(grid[j]), float(grid[j + 1]), float(d[j])) for j in idx]
-    elif levels > 0:
+    found = []
+    for level in range(3):  # the given rows, then two finer looks at dips
+        orders, grid = np.broadcast_arrays(orders, grid)
+        _, d = _propagate(profile, orders, grid)
+        change = d[:, :-1] * d[:, 1:] < 0.0
+        rows, j = np.nonzero(change)
+        found.append(np.stack((orders[rows, j], grid[rows, j], grid[rows, j + 1], d[rows, j])))
+        zero = d == 0.0
+        found.append(np.stack((orders[zero], grid[zero], grid[zero], d[zero])))
         absd = np.abs(d)
-        j = int(np.argmin(absd[1:-1])) + 1
-        if absd[j] < _DIP_RATIO * max(absd[0], absd[-1]):
-            return _refine_interval(profile, m, grid[j - 1], grid[j + 1], levels - 1)
-    exact = [float(grid[j]) for j in np.nonzero(d == 0.0)[0]]
-    return brackets, exact
-
-
-def _scan_brackets(
-    profile: RadialDensityProfile, m: int, n_max: int, f_ceiling: float, step: float
-) -> tuple[list[tuple[float, float, float]], list[float]]:
-    """Walk the residual upward collecting the first n_max sign changes."""
-    brackets: list[tuple[float, float, float]] = []
-    exact: list[float] = []
-    chunk = 512
-    f_lo = step
-    d_prev = None
-    f_prev = None
-    while f_lo < f_ceiling and len(brackets) + len(exact) < n_max:
-        grid = f_lo + step * np.arange(chunk + 1)
-        grid = grid[grid <= f_ceiling + step]
-        if f_prev is not None:
-            grid = np.concatenate(([f_prev], grid))
-        _, d = _propagate(profile, m, grid)
-        if d_prev is not None:
-            d[0] = d_prev
-        sign_change = d[:-1] * d[1:] < 0.0
-        for j in np.nonzero(sign_change)[0]:
-            brackets.append((float(grid[j]), float(grid[j + 1]), float(d[j])))
-        # Exact zeros on the grid are roots too (rare but cheap to honour).
-        exact.extend(float(grid[j]) for j in np.nonzero(d == 0.0)[0])
-        # Local |D| minima without a crossing may hide a near-degenerate pair.
-        absd = np.abs(d)
-        interior = np.arange(1, len(grid) - 1)
-        dips = interior[
-            (absd[interior] < absd[interior - 1])
-            & (absd[interior] < absd[interior + 1])
-            & (absd[interior] < _DIP_RATIO * np.median(absd))
-            & ~sign_change[interior - 1]
-            & ~sign_change[interior]
-        ]
-        for j in dips:
-            sub_brackets, sub_exact = _refine_interval(
-                profile, m, float(grid[j - 1]), float(grid[j + 1])
-            )
-            brackets.extend(sub_brackets)
-            exact.extend(sub_exact)
-        f_prev = float(grid[-1])
-        d_prev = float(d[-1])
-        f_lo = f_prev + step
-    return brackets, exact
+        mid = absd[:, 1:-1]
+        dips = (
+            (mid < absd[:, :-2])
+            & (mid < absd[:, 2:])
+            & (mid < _DIP_RATIO * np.median(absd, axis=1, keepdims=True))
+            & ~change[:, :-1]
+            & ~change[:, 1:]
+        )
+        rows, j = np.nonzero(dips)
+        if level == 2 or not rows.size:
+            break
+        orders = orders[rows, j][:, None]
+        grid = np.linspace(grid[rows, j], grid[rows, j + 2], 9, axis=-1)
+    return np.concatenate(found, axis=1)
 
 
 def composite_modes(
@@ -351,9 +321,12 @@ def composite_modes(
 ) -> ModeTable:
     """Transfer-matrix eigenfrequencies of a ringed profile, merged over m.
 
-    Scans each azimuthal order with a step of 1/20 of the conservative
-    modal spacing, bisects every sign change (all orders polished in one
-    batch), and returns the n_max lowest roots per order below f_ceiling.
+    Scans every azimuthal order at once, one row per order, in chunks of
+    512 steps of 1/20 of the conservative modal spacing; an order leaves
+    the scan once it has n_max roots.  Suspicious dips are refined in one
+    batch per level and every sign change is bisected in one batch, so
+    each chunk, refinement level and bisection step is one _propagate
+    call.  Returns the n_max lowest roots per order below f_ceiling.
     Raises InsufficientCeiling when an order comes up short (reporting how
     many roots it did find).
     """
@@ -366,37 +339,28 @@ def composite_modes(
     step = spacing / SCAN_DIVISIONS
     fp = profile.fingerprint()
 
-    all_orders: list[int] = []
-    all_lo: list[float] = []
-    all_hi: list[float] = []
-    all_dlo: list[float] = []
-    roots_by_m: dict[int, list[float]] = {}
-    for m in range(m_max + 1):
-        brackets, exact = _scan_brackets(profile, m, n_max, f_ceiling, step)
-        roots_by_m[m] = exact
-        for lo, hi, d_lo in brackets:
-            all_orders.append(m)
-            all_lo.append(lo)
-            all_hi.append(hi)
-            all_dlo.append(d_lo)
-    if all_orders:
-        found = _bisect_mixed(
-            profile,
-            np.array(all_orders, dtype=float),
-            np.array(all_lo),
-            np.array(all_hi),
-            np.array(all_dlo),
-        )
-        for m, root in zip(all_orders, found):
-            roots_by_m[m].append(float(root))
+    counts = np.zeros(m_max + 1, dtype=int)
+    found = [np.empty((4, 0))]
+    grid = np.empty(0)
+    f_lo = step
+    while (counts < n_max).any() and f_lo < f_ceiling:
+        # A chunk of 512 steps past f_lo, led by the last point of the one
+        # before, so a sign change across the seam is bracketed too.
+        new = f_lo + step * np.arange(513)
+        grid = np.concatenate((grid[-1:], new[new <= f_ceiling + step]))
+        found.append(_find_brackets(profile, np.flatnonzero(counts < n_max)[:, None], grid))
+        counts += np.bincount(found[-1][0].astype(int), minlength=m_max + 1)
+        f_lo = grid[-1] + step
+    m, lo, hi, d_lo = np.concatenate(found, axis=1)
+    roots = _bisect_mixed(profile, m, lo, hi, d_lo)
 
     modes: list[Mode] = []
-    for m in range(m_max + 1):
-        roots = sorted(set(roots_by_m[m]))
-        roots = [r for r in roots if r <= f_ceiling][:n_max]
-        if len(roots) < n_max:
-            raise InsufficientCeiling(m, len(roots), n_max, f_ceiling)
-        modes.extend(Mode(m, n, f, fp) for n, f in enumerate(roots, start=1))
+    for order in range(m_max + 1):
+        mine = np.unique(roots[m == order])
+        mine = mine[mine <= f_ceiling][:n_max]
+        if mine.size < n_max:
+            raise InsufficientCeiling(order, mine.size, n_max, f_ceiling)
+        modes.extend(Mode(order, n, float(f), fp) for n, f in enumerate(mine, start=1))
     return _sorted_table(fp, modes)
 
 

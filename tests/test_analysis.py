@@ -6,6 +6,7 @@ import pytest
 from membrane_lab.analysis import (
     AnalysisReport,
     Peak,
+    _longest_run,
     analyze,
     classify_stroke,
     compute_spectrum,
@@ -251,6 +252,25 @@ class TestSegmentAdsr:
         for v in (seg.attack_s, seg.decay_s, seg.sustain_s, seg.release_s):
             assert v >= 0.0
         assert 0.0 <= seg.sustain_level <= 1.0
+
+    def test_longest_run_matches_loop_reference(self):
+        def reference(mask):
+            best_start, best_len, start = 0, 0, None
+            for i, v in enumerate(list(mask) + [False]):
+                if v and start is None:
+                    start = i
+                elif not v and start is not None:
+                    if i - start > best_len:
+                        best_start, best_len = start, i - start
+                    start = None
+            return best_start, best_len
+
+        rng = np.random.default_rng(7)
+        masks = [np.zeros(0, bool), np.zeros(5, bool), np.ones(5, bool),
+                 np.array([1, 1, 0, 1, 1], bool), np.array([0, 1, 1, 0, 1, 1, 1], bool)]
+        masks += [rng.random(int(rng.integers(1, 40))) < 0.6 for _ in range(200)]
+        for mask in masks:
+            assert _longest_run(mask) == reference(mask)
 
 
 @pytest.fixture(scope="module")

@@ -63,6 +63,23 @@ class TestUsageAndDataErrors:
         bad.write_text("{\"radius_m\": -1}")
         assert run("modes", str(bad)) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("layers", "uniform_profile.json", "layer_sequence.json", "--epsilon", "0"),
+            ("layers", "uniform_profile.json", "layer_sequence.json", "--window", "0"),
+            ("modes", "default_profile.json", "--f-ceiling", "0"),
+            ("synth", "default_profile.json", "demo_stroke.json", "-o", "x.wav", "--f-ceiling", "0"),
+        ],
+        ids=["layers-epsilon", "layers-window", "modes-ceiling", "synth-ceiling"],
+    )
+    def test_zero_valued_option_is_data_error(self, tmp_path, capsys, argv):
+        # a zero is the user's value, not an absent option
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        argv = [str(tmp_path / a) if a.endswith(".wav") else a for a in argv]
+        assert run(*argv) == 2
+        assert "membrane-lab:" in capsys.readouterr().err
+
     def test_garbage_wav_is_data_error(self, tmp_path):
         fake = tmp_path / "fake.wav"
         fake.write_bytes(b"not audio")

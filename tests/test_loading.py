@@ -247,6 +247,27 @@ class TestGraded:
             with pytest.raises(ValueError, match="budget must be >= 200"):
                 optimize_graded(rings=4, budget=0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rings": 2}, r"rings must lie in \[4, 32\]"),
+            ({"rings": 33}, r"rings must lie in \[4, 32\]"),
+            (
+                {"rings": 4, "overtones": 8, "two_region_seed": TwoRegionCandidate(0.4, 3.0)},
+                r"overtones must lie in \[3, 7\]",
+            ),
+        ],
+        ids=["rings-2", "rings-33", "overtones-8-seeded"],
+    )
+    def test_rejects_bad_arguments_before_any_solve(self, monkeypatch, kwargs, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before validation")
+
+        monkeypatch.setattr(loading, "optimize_two_region", no_solve)
+        monkeypatch.setattr(loading, "harmonic_objective", no_solve)
+        with pytest.raises(ValueError, match=message):
+            optimize_graded(budget=200, **kwargs)
+
     def test_graded_report_shape(self, graded_result):
         doc = graded_result.to_json_dict()
         assert set(doc) == {

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from membrane_lab import membrane
 from membrane_lab.bessel import bessel_zero
 from membrane_lab.errors import InsufficientCeiling, ProfileMismatch
 from membrane_lab.membrane import (
+    SCAN_DIVISIONS,
     Mode,
     ModeTable,
     RadialDensityProfile,
@@ -194,6 +196,48 @@ class TestCompositeModes:
             composite_modes(profile, 0, 3, f1 * 1.05)
         assert exc.value.found == 1
         assert exc.value.requested == 3
+
+    def test_ceiling_below_first_scan_step_finds_nothing(self):
+        profile = two_ring(0.4, 2.0)
+        step = math.sqrt(1.0 / 2.0) / 2.0 / SCAN_DIVISIONS
+        with pytest.raises(InsufficientCeiling) as exc:
+            composite_modes(profile, 2, 1, 0.5 * step)
+        assert exc.value.found == 0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1.003, 1.009),  # split by the first 4x finer look
+            (1.00005, 1.002),  # still hidden there, split by the second
+        ],
+    )
+    def test_hidden_near_degenerate_pair_is_refined(self, monkeypatch, a, b):
+        # Both roots sit inside one scan step (1.0, 1.025) of the unit
+        # profile, so D never changes sign on the coarse grid.
+        def pair(profile, orders, freqs):
+            _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
+            return [], (freqs - a) * (freqs - b)
+
+        monkeypatch.setattr(membrane, "_propagate", pair)
+        profile = RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),))
+        table = composite_modes(profile, 1, 2, 1.5)
+        for m in (0, 1):
+            got = [mo.frequency for mo in table if mo.m == m]
+            assert np.allclose(got, [a, b], rtol=0.0, atol=1e-9)
+
+    def test_scan_past_the_first_chunk_matches_oracle(self):
+        # At contrast 50 the scan step follows the heavy patch, so the
+        # seventh roots lie beyond the first 512-step chunk.
+        profile = two_ring(0.1, 50.0)
+        table = composite_modes(profile, 1, 7, default_ceiling(profile, 7, 1))
+        step = math.sqrt(1.0 / 50.0) / 2.0 / SCAN_DIVISIONS
+        for m in (0, 1):
+            got = [mo.frequency for mo in table if mo.m == m]
+            assert got[-1] > 513 * step
+            expected = two_region_modes(m, 7, 1.0, 1.0, 0.1, 50.0, 1.0)
+            assert len(expected) == 7
+            for e, g in zip(expected, got):
+                assert abs(g - e) / e < 1e-7
 
     def test_concurrent_order_solves_are_deterministic(self):
         from concurrent.futures import ThreadPoolExecutor
