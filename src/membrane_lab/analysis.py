@@ -576,38 +576,30 @@ def extract_features(
         except TooFewPeaks:
             grouping = None
 
-    dominant_ratio = None
-    dominant_prominence = 0.0
-    attack_centroid_ratio = None
-    glide_drift = 0.0
-    decay_fit = None
-    if grouping is not None and strong:
-        f0 = grouping.fundamental
-        dominant = max(strong, key=lambda p: p.magnitude)
-        dominant_ratio = dominant.frequency / f0
-        dominant_prominence = dominant.prominence_db
-        band = max(30.0, 0.5 * f0)
-        try:
-            decay_fit = fit_decay(x, sample_rate, dominant.frequency, band)
-        except (InsufficientDecay, ValueError):
-            decay_fit = None
-        seg = x[: int(0.08 * sample_rate)]
-        n_attack = 1 << int(math.ceil(math.log2(max(256, seg.size))))
-        # window the segment itself before padding, or the pad cliff splatters
-        attack_spec = compute_spectrum(
-            seg * np.hanning(seg.size), sample_rate, n_attack, window="rect"
-        )
-        attack_centroid_ratio = spectral_centroid(attack_spec) / f0
-        glide_drift = _dominant_band_drift(x, sample_rate, dominant.frequency)
+    if grouping is None:
+        return ClipFeatures(peaks, flatness, tuple(strong), adsr=adsr)
 
+    f0 = grouping.fundamental
+    dominant = max(strong, key=lambda p: p.magnitude)
+    band = max(30.0, 0.5 * f0)
+    try:
+        decay_fit = fit_decay(x, sample_rate, dominant.frequency, band)
+    except (InsufficientDecay, ValueError):
+        decay_fit = None
+    seg = x[: int(0.08 * sample_rate)]
+    n_attack = 1 << int(math.ceil(math.log2(max(256, seg.size))))
+    # window the segment itself before padding, or the pad cliff splatters
+    attack_spec = compute_spectrum(
+        seg * np.hanning(seg.size), sample_rate, n_attack, window="rect"
+    )
     return ClipFeatures(
         peaks=peaks,
         flatness=flatness,
         grouped_peaks=tuple(strong),
-        dominant_ratio=dominant_ratio,
-        dominant_prominence_db=dominant_prominence,
-        attack_centroid_ratio=attack_centroid_ratio,
-        glide_drift=glide_drift,
+        dominant_ratio=dominant.frequency / f0,
+        dominant_prominence_db=dominant.prominence_db,
+        attack_centroid_ratio=spectral_centroid(attack_spec) / f0,
+        glide_drift=_dominant_band_drift(x, sample_rate, dominant.frequency),
         grouping=grouping,
         adsr=adsr,
         decay=decay_fit,
@@ -689,11 +681,9 @@ def analyze(
         f0 = grouping.fundamental
         grouped = features.grouped_peaks
         freqs = [p.frequency for p in grouped]
-        if grouping.shifted_index is not None:
-            shift_ratio = freqs[grouping.shifted_index] / f0
-        elif freqs:
-            shift_ratio = min(freqs) / f0
         dheem_hz = freqs[grouping.shifted_index] if grouping.shifted_index is not None else None
+        # with no shifted mode, the lowest grouped peak stands in for it
+        shift_ratio = (min(freqs) if dheem_hz is None else dheem_hz) / f0
         by_k = {}
         for i in grouping.harmonic_indices:
             k = int(round(freqs[i] / f0))

@@ -262,6 +262,18 @@ def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=
     return best(), len(cache), exhausted
 
 
+def _check_rings(rings: int) -> None:
+    if not (4 <= rings <= 32):
+        raise ValueError("rings must lie in [4, 32]")
+
+
+def _check_search(overtones: int, budget: int) -> None:
+    if not (3 <= overtones <= 7):
+        raise ValueError("overtones must lie in [3, 7]")
+    if budget < 200:
+        raise ValueError("budget must be >= 200")
+
+
 def optimize_two_region(
     fraction_bounds: tuple[float, float] = DEFAULT_FRACTION_BOUNDS,
     ratio_bounds: tuple[float, float] = DEFAULT_RATIO_BOUNDS,
@@ -282,10 +294,7 @@ def optimize_two_region(
         raise ValueError("fraction bounds must lie within (0.05, 0.95)")
     if not (1.0 <= ratio_bounds[0] < ratio_bounds[1] <= 50.0):
         raise ValueError("ratio bounds must lie within [1, 50]")
-    if not (3 <= overtones <= 7):
-        raise ValueError("overtones must lie in [3, 7]")
-    if budget < 200:
-        raise ValueError("budget must be >= 200")
+    _check_search(overtones, budget)
 
     x, evaluations, exhausted = _grid_simplex_search(
         lambda f, r: TwoRegionCandidate(f, r).to_profile(radius, tension, field_density),
@@ -317,8 +326,7 @@ def graded_profile(
     """Monotone density staircase over the patch: increments follow
     (1 - r/a)^taper, scaled to carry `added_mass` in total.  Taper 0 is the
     flat two-region patch."""
-    if not (4 <= rings <= 32):
-        raise ValueError("rings must lie in [4, 32]")
+    _check_rings(rings)
     if added_mass < 0 or taper_exponent < 0:
         raise ValueError("added_mass and taper_exponent must be >= 0")
     edges = np.linspace(0.0, patch_fraction, rings + 1)
@@ -377,12 +385,8 @@ def optimize_graded(
     taper 0 reproduces it exactly), so the graded best can only match or
     beat the step profile.
     """
-    if not (4 <= rings <= 32):
-        raise ValueError("rings must lie in [4, 32]")
-    if not (3 <= overtones <= 7):
-        raise ValueError("overtones must lie in [3, 7]")
-    if budget < 200:
-        raise ValueError("budget must be >= 200")
+    _check_rings(rings)
+    _check_search(overtones, budget)
     if two_region_seed is None:
         two_region_seed = optimize_two_region(
             overtones=overtones,

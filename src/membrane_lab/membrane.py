@@ -36,8 +36,10 @@ SCAN_DIVISIONS = 20
 BISECT_RTOL = 1e-11
 BISECT_CAP = 200
 # A local |D| minimum this far below its row's median, with no sign change
-# beside it, gets a 4x finer look: two near-degenerate roots may hide there.
+# beside it, may hide two near-degenerate roots: it gets a 4x finer look, a
+# dip there another, up to _FINER_LOOKS deep (4x, 16x and 64x finer steps).
 _DIP_RATIO = 1e-3
+_FINER_LOOKS = 3
 
 
 @dataclass(frozen=True)
@@ -282,13 +284,12 @@ def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
     columns; a grid point where D is exactly zero comes back as a
     zero-width bracket, which the bisection returns as it is.
 
-    A local minimum of |D| far below its row's median, with no sign change
-    on either side, may hide a near-degenerate pair: it gets a 4x finer
-    look on a 9-point row spanning its two neighbours, and a dip there gets
-    one more.  Each level evaluates all of its rows in one _propagate call.
+    A dip (see _DIP_RATIO) gets a 9-point row spanning its two neighbours,
+    4x finer, and a dip there another, up to _FINER_LOOKS levels deep.
+    Each level evaluates all of its rows in one _propagate call.
     """
     found = []
-    for level in range(3):  # the given rows, then two finer looks at dips
+    for level in range(_FINER_LOOKS + 1):  # the given rows, then the finer looks
         orders, grid = np.broadcast_arrays(orders, grid)
         _, d = _propagate(profile, orders, grid)
         change = d[:, :-1] * d[:, 1:] < 0.0
@@ -306,7 +307,7 @@ def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
             & ~change[:, 1:]
         )
         rows, j = np.nonzero(dips)
-        if level == 2 or not rows.size:
+        if level == _FINER_LOOKS or not rows.size:
             break
         orders = orders[rows, j][:, None]
         grid = np.linspace(grid[rows, j], grid[rows, j + 2], 9, axis=-1)

@@ -209,6 +209,7 @@ class TestCompositeModes:
         [
             (1.003, 1.009),  # split by the first 4x finer look
             (1.00005, 1.002),  # still hidden there, split by the second
+            (1.0000156, 1.000625),  # hidden at 4x and 16x, split by the third
         ],
     )
     def test_hidden_near_degenerate_pair_is_refined(self, monkeypatch, a, b):
