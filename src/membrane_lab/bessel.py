@@ -3,8 +3,9 @@
 The membrane solvers only ever need integer orders up to 12 and arguments
 below a few hundred, so the evaluation contract is narrow: |error| <= 1e-10
 for J on x <= 100 and 1e-8 for Y on [1e-3, 100].  Evaluation is delegated to
-scipy.special (which comfortably beats both bounds; the test suite checks
-them against high-precision references), and zeros come from
+scipy.special, J to jv and Y to the integer-order yn, as in the solver
+kernel (both comfortably beat their bounds; the test suite checks them
+against high-precision references), and zeros come from
 scipy.special.jn_zeros.  scipy.special is imported on first use, so
 importing the package (and the commands that never solve) stays light.
 """
@@ -49,7 +50,7 @@ def bessel_y(order: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 1e-12) or not np.all(np.isfinite(arr)):
         raise DomainError("bessel_y requires finite x > 1e-12")
-    out = special.yv(order, arr)
+    out = special.yn(order, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -9,11 +9,14 @@ displacement of an azimuthal-order-m mode is
 with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
-The scan walks all azimuthal orders at once (one grid row per order),
-refines suspicious dips in one batch per level and bisects every bracket in
-lockstep; one kernel, _propagate, serves each step and mode_shape.  Slopes
-come from the recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2),
-so each boundary needs J and Y at orders m and m-1 only.
+The scan walks all azimuthal orders at once (one grid row per order) and
+refines suspicious dips in one batch per level; the n_max lowest brackets
+of each order are then polished together by Illinois false position with
+a bisection safeguard.  One kernel, _propagate, serves each step and
+mode_shape.  Slopes come from the recurrence
+f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each boundary needs J
+and Y at orders m and m-1 only; orders are integers, so Y comes from
+scipy's integer-order special.yn.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 SCAN_DIVISIONS = 20
 BISECT_RTOL = 1e-11
 BISECT_CAP = 200
+# Steps the polish may fall behind bisection of the same bracket.
+_POLISH_SLACK = 4
 # A local |D| minimum this far below its row's median, with no sign change
 # beside it, may hide two near-degenerate roots: it gets a 4x finer look, a
 # dip there another, up to _FINER_LOOKS deep (4x, 16x and 64x finer steps).
@@ -230,11 +235,11 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
         u = A * special.jv(m, xl)
         w = A * special.jv(m - 1, xl)
         if i > 0:  # no Y term in the first ring
-            u = u + B * special.yv(m, xl)
-            w = w + B * special.yv(m - 1, xl)
+            u = u + B * special.yn(m, xl)
+            w = w + B * special.yn(m - 1, xl)
         w = ks[i] * w
         half_pi_rb = 0.5 * math.pi * rb
-        A = half_pi_rb * (ks[i + 1] * special.yv(m - 1, xr) * u - special.yv(m, xr) * w)
+        A = half_pi_rb * (ks[i + 1] * special.yn(m - 1, xr) * u - special.yn(m, xr) * w)
         B = half_pi_rb * (special.jv(m, xr) * w - ks[i + 1] * special.jv(m - 1, xr) * u)
         scale = np.maximum(np.abs(A), np.abs(B))
         scale = np.where(scale > 0.0, scale, 1.0)
@@ -245,44 +250,83 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     last = ks[-1] * R
     D = A * special.jv(m, last)
     if len(ks) > 1:
-        D = D + B * special.yv(m, last)
+        D = D + B * special.yn(m, last)
     return coeffs, D
 
 
-def _bisect_mixed(
+def _polish(
     profile: RadialDensityProfile,
     orders: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     d_lo: np.ndarray,
+    d_hi: np.ndarray,
 ) -> np.ndarray:
-    """Bisect sign-change brackets from every azimuthal order in lockstep."""
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    d_lo = d_lo.copy()
-    for _ in range(BISECT_CAP):
+    """Shrink sign-change brackets from every azimuthal order onto their roots.
+
+    Illinois false position (Dowell & Jarratt 1972): the next point is where
+    the chord through the bracket ends crosses zero, it replaces the end of
+    its own sign, and an end kept by two chord steps in a row has its D
+    halved, so the far end moves too.  As a bisection safeguard the point
+    is pulled toward the midpoint just far enough that neither part is
+    wider than bisection would have left the bracket _POLISH_SLACK steps
+    earlier (a pulled point is no chord step), so no bracket takes more
+    than _POLISH_SLACK steps beyond bisection's count.  Each step
+    evaluates, in one _propagate call, only the brackets still wider than
+    BISECT_RTOL of their midpoint; returns the midpoints of the final
+    brackets.
+    """
+    lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
+    start_width = hi - lo
+    # Did the last step take the chord point and keep lo (or hi)?
+    kept_lo = np.zeros(lo.shape, dtype=bool)
+    kept_hi = np.zeros(lo.shape, dtype=bool)
+    for step in range(BISECT_CAP):
         mid = 0.5 * (lo + hi)
-        active = (hi - lo) > BISECT_RTOL * np.abs(mid)
-        if not active.any():
+        act = np.flatnonzero(hi - lo > BISECT_RTOL * np.abs(mid))
+        if not act.size:
             return mid
-        _, d_mid = _propagate(profile, orders, mid)
-        go_left = (d_lo * d_mid) < 0.0
-        hi = np.where(active & go_left, mid, hi)
-        move_right = active & ~go_left
-        lo = np.where(move_right, mid, lo)
-        d_lo = np.where(move_right, d_mid, d_lo)
+        a, b, fa, fb = lo[act], hi[act], d_lo[act], d_hi[act]
+        chord = (a * fb - b * fa) / (fb - fa)
+        allowed = start_width[act] * 2.0 ** (_POLISH_SLACK - step - 1)
+        x = np.where((chord > a) & (chord < b), chord, mid[act])
+        x = np.clip(x, b - allowed, a + allowed)
+        _, fx = _propagate(profile, orders[act], x)
+        move_hi = fa * fx < 0.0
+        # An exact zero closes the bracket on it.
+        lo[act] = np.where(move_hi, a, x)
+        hi[act] = np.where(move_hi | (fx == 0.0), x, b)
+        d_lo[act] = np.where(move_hi, np.where(kept_lo[act], 0.5 * fa, fa), fx)
+        d_hi[act] = np.where(move_hi, fx, np.where(kept_hi[act], 0.5 * fb, fb))
+        kept_lo[act] = move_hi & (x == chord)
+        kept_hi[act] = ~move_hi & (x == chord)
     raise ConvergenceError(
-        f"bracketed root failed to converge in {BISECT_CAP} bisections"
+        f"bracketed root failed to converge in {BISECT_CAP} polish steps"
     )
+
+
+def _lowest_brackets(brackets: np.ndarray, n_max: int) -> np.ndarray:
+    """The n_max lowest brackets of each order, a zero found twice kept once.
+
+    Brackets never overlap, so the lowest ones hold the lowest roots.
+    """
+    brackets = brackets[:, np.lexsort((brackets[1], brackets[0]))]
+    m, lo, hi = brackets[:3]
+    fresh = np.ones(m.size, dtype=bool)
+    fresh[1:] = (m[1:] != m[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    brackets = brackets[:, fresh]
+    m = brackets[0]
+    rank = np.arange(m.size) - np.searchsorted(m, m)
+    return brackets[:, rank < n_max]
 
 
 def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
     """Sign-change brackets of the rim displacement along rows of frequency grids.
 
     Row i of the grid belongs to azimuthal order orders[i]; the two
-    broadcast together.  Returns a (4, k) array of (order, lo, hi, D(lo))
-    columns; a grid point where D is exactly zero comes back as a
-    zero-width bracket, which the bisection returns as it is.
+    broadcast together.  Returns a (5, k) array of (order, lo, hi, D(lo),
+    D(hi)) columns; a grid point where D is exactly zero comes back as a
+    zero-width bracket, which the polish returns as it is.
 
     A dip (see _DIP_RATIO) gets a 9-point row spanning its two neighbours,
     4x finer, and a dip there another, up to _FINER_LOOKS levels deep.
@@ -294,9 +338,11 @@ def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
         _, d = _propagate(profile, orders, grid)
         change = d[:, :-1] * d[:, 1:] < 0.0
         rows, j = np.nonzero(change)
-        found.append(np.stack((orders[rows, j], grid[rows, j], grid[rows, j + 1], d[rows, j])))
+        found.append(np.stack(
+            (orders[rows, j], grid[rows, j], grid[rows, j + 1], d[rows, j], d[rows, j + 1])
+        ))
         zero = d == 0.0
-        found.append(np.stack((orders[zero], grid[zero], grid[zero], d[zero])))
+        found.append(np.stack((orders[zero], grid[zero], grid[zero], d[zero], d[zero])))
         absd = np.abs(d)
         mid = absd[:, 1:-1]
         dips = (
@@ -310,7 +356,11 @@ def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
         if level == _FINER_LOOKS or not rows.size:
             break
         orders = orders[rows, j][:, None]
+        dip = grid[rows, j + 1]
         grid = np.linspace(grid[rows, j], grid[rows, j + 2], 9, axis=-1)
+        # The dip itself, not linspace's value an ulp away: an exact zero
+        # there must come back as the same zero-width bracket.
+        grid[:, 4] = dip
     return np.concatenate(found, axis=1)
 
 
@@ -325,23 +375,24 @@ def composite_modes(
     Scans every azimuthal order at once, one row per order, in chunks of
     512 steps of 1/20 of the conservative modal spacing; an order leaves
     the scan once it has n_max roots.  Suspicious dips are refined in one
-    batch per level and every sign change is bisected in one batch, so
-    each chunk, refinement level and bisection step is one _propagate
-    call.  Returns the n_max lowest roots per order below f_ceiling.
+    batch per level; the n_max lowest brackets of each order (the rest can
+    never make the table) are polished in one batch, so each chunk,
+    refinement level and polish step is one _propagate call.  Returns the
+    n_max lowest roots per order below f_ceiling.
     Raises InsufficientCeiling when an order comes up short (reporting how
     many roots it did find).
     """
     if m_max < 0 or n_max < 1:
         raise ValueError("m_max must be >= 0 and n_max >= 1")
-    if f_ceiling <= 0:
-        raise ValueError("f_ceiling must be positive")
+    if not f_ceiling > 0:  # NaN fails this too
+        raise ValueError(f"f_ceiling must be positive, got {f_ceiling}")
     sigma_max = max(profile.densities)
     spacing = math.sqrt(profile.tension / sigma_max) / (2.0 * profile.radius)
     step = spacing / SCAN_DIVISIONS
     fp = profile.fingerprint()
 
     counts = np.zeros(m_max + 1, dtype=int)
-    found = [np.empty((4, 0))]
+    brackets = np.empty((5, 0))
     grid = np.empty(0)
     f_lo = step
     while (counts < n_max).any() and f_lo < f_ceiling:
@@ -349,11 +400,12 @@ def composite_modes(
         # before, so a sign change across the seam is bracketed too.
         new = f_lo + step * np.arange(513)
         grid = np.concatenate((grid[-1:], new[new <= f_ceiling + step]))
-        found.append(_find_brackets(profile, np.flatnonzero(counts < n_max)[:, None], grid))
-        counts += np.bincount(found[-1][0].astype(int), minlength=m_max + 1)
+        more = _find_brackets(profile, np.flatnonzero(counts < n_max)[:, None], grid)
+        brackets = _lowest_brackets(np.concatenate((brackets, more), axis=1), n_max)
+        counts = np.bincount(brackets[0].astype(int), minlength=m_max + 1)
         f_lo = grid[-1] + step
-    m, lo, hi, d_lo = np.concatenate(found, axis=1)
-    roots = _bisect_mixed(profile, m, lo, hi, d_lo)
+    m, lo, hi, d_lo, d_hi = brackets
+    roots = _polish(profile, m, lo, hi, d_lo, d_hi)
 
     modes: list[Mode] = []
     for order in range(m_max + 1):

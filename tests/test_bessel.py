@@ -103,6 +103,17 @@ class TestBesselY:
         with pytest.raises(DomainError):
             bessel_y(0, -1.0)
 
+    def test_integer_order_yn_matches_yv(self):
+        # bessel_y and the transfer-matrix kernel take Y from the cephes
+        # integer-order yn, order -1 included; pin it to AMOS's yv.
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.geomspace(1e-3, 100.0, 2000), rng.uniform(1e-3, 100.0, 20000)])
+        assert np.array_equal(special.yn(-1, x), -special.y1(x))
+        for order in range(-1, 13):
+            ref = special.yv(order, x)
+            gap = np.abs(special.yn(order, x) - ref) / np.maximum(1.0, np.abs(ref))
+            assert gap.max() < 1e-14
+
 
 class TestBesselZero:
     def test_first_j0_zero(self):

@@ -39,6 +39,14 @@ class TestModesCommand:
         assert doc["modes"][0]["m"] == 0
         assert doc["modes"][1]["frequency_hz"] == pytest.approx(200.0, abs=0.01)
 
+    def test_nan_ceiling_is_data_error(self, capsys):
+        assert run("modes", str(DATA / "default_profile.json"), "--f-ceiling", "nan") == 2
+        assert "f_ceiling must be positive" in capsys.readouterr().err
+
+    def test_infinite_ceiling_solves(self, capsys):
+        assert run("modes", str(DATA / "default_profile.json"), "--f-ceiling", "inf") == 0
+        assert capsys.readouterr().out.startswith("m,n,frequency_hz\n")
+
     def test_numerical_failure_exit_code(self, capsys):
         # a ceiling below the first mode cannot yield the requested roots
         assert run(

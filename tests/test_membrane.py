@@ -251,6 +251,115 @@ class TestCompositeModes:
         for t in tables:
             assert np.array_equal(t.frequencies, serial.frequencies)
 
+    def test_rejects_nan_ceiling_and_accepts_infinite(self):
+        profile = two_ring(0.4, 3.7)
+        with pytest.raises(ValueError, match="f_ceiling must be positive"):
+            composite_modes(profile, 1, 2, math.nan)
+        finite = composite_modes(profile, 1, 2, default_ceiling(profile, 2, 1))
+        assert np.array_equal(composite_modes(profile, 1, 2, math.inf).frequencies, finite.frequencies)
+
+    def test_polish_work_per_solve(self, monkeypatch):
+        # Counts, not time: the objective's solve (two-region 0.4/3.7 at
+        # m <= 4, n <= 4) polishes only the 20 brackets the table keeps, and
+        # the whole solve stays far below the 2,257 residual points that
+        # bisecting all 34 scanned brackets cost.
+        received, points = [], []
+        polish, propagate = membrane._polish, membrane._propagate
+
+        def counted_polish(profile, orders, *rest):
+            received.append(orders.size)
+            return polish(profile, orders, *rest)
+
+        def counted_propagate(profile, orders, freqs):
+            coeffs, d = propagate(profile, orders, freqs)
+            points.append(d.size)
+            return coeffs, d
+
+        monkeypatch.setattr(membrane, "_polish", counted_polish)
+        monkeypatch.setattr(membrane, "_propagate", counted_propagate)
+        profile = two_ring(0.4, 3.7)
+        composite_modes(profile, 4, 4, default_ceiling(profile, 4, 4))
+        assert received == [20]
+        assert sum(points) < 1500
+
+
+class TestPolish:
+    @staticmethod
+    def bisection_steps(residual, lo, hi):
+        # Reference: plain bisection with the polish's stop test.
+        d_lo, steps = residual(lo), 0
+        while hi - lo > membrane.BISECT_RTOL * abs(0.5 * (lo + hi)):
+            mid = 0.5 * (lo + hi)
+            d_mid = residual(mid)
+            if d_lo * d_mid < 0.0:
+                hi = mid
+            else:
+                lo, d_lo = mid, d_mid
+            steps += 1
+        return steps
+
+    @staticmethod
+    def patch_residual(monkeypatch, residual):
+        calls = []
+
+        def fake(profile, orders, freqs):
+            calls.append(freqs)
+            _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
+            return [], residual(freqs)
+
+        monkeypatch.setattr(membrane, "_propagate", fake)
+        return calls
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            lambda f: np.expm1(200.0 * (f - 1.003)),  # D(lo) -0.45, D(hi) 1.2e4
+            lambda f: (f - 1.003) ** 3,  # flat at the root
+        ],
+        ids=["asymmetric", "cubic"],
+    )
+    def test_converges_within_bisection_count(self, monkeypatch, residual):
+        calls = self.patch_residual(monkeypatch, residual)
+        lo, hi = np.array([1.0]), np.array([1.05])
+        root = membrane._polish(None, np.zeros(1), lo, hi, residual(lo), residual(hi))
+        assert abs(root[0] - 1.003) <= 1e-11 * 1.003
+        assert len(calls) <= self.bisection_steps(residual, 1.0, 1.05) + membrane._POLISH_SLACK
+
+    def test_exact_zero_on_the_scan_grid_comes_back_unchanged(self, monkeypatch):
+        # The unit profile's scan grid, with composite_modes' arithmetic.
+        step = 0.5 / SCAN_DIVISIONS
+        grid = step + step * np.arange(513)
+        zero = grid[6]
+        # A zero is also a dip, so the finer looks meet it again; here
+        # linspace would put their centre an ulp away from it.  Found once,
+        # it leaves the orders in the scan for the second root, which lies
+        # past the first chunk.
+        assert np.linspace(grid[5], grid[7], 9)[4] != zero
+        self.patch_residual(monkeypatch, lambda f: (f - zero) * (f - 14.0))
+        table = composite_modes(RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),)), 1, 2, 20.0)
+        for m in (0, 1):
+            got = [mo.frequency for mo in table if mo.m == m]
+            assert got[0] == zero
+            assert got[1] == pytest.approx(14.0, rel=1e-11)
+
+    def test_more_sign_changes_than_n_max_keep_the_lowest(self, monkeypatch):
+        # Roots every 0.15 from 0.16: each order's first chunk brackets
+        # dozens of them, and only the three lowest are polished.
+        polished = []
+        polish = membrane._polish
+
+        def counted(profile, orders, *rest):
+            polished.append(orders.size)
+            return polish(profile, orders, *rest)
+
+        monkeypatch.setattr(membrane, "_polish", counted)
+        self.patch_residual(monkeypatch, lambda f: np.sin(math.pi * (f - 0.16) / 0.15))
+        table = composite_modes(RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),)), 1, 3, 10.0)
+        assert polished == [6]
+        for m in (0, 1):
+            got = [mo.frequency for mo in table if mo.m == m]
+            assert np.allclose(got, [0.16, 0.31, 0.46], rtol=1e-11, atol=0.0)
+
 
 class TestModeShape:
     def setup_method(self):
