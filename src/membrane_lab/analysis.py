@@ -317,12 +317,17 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
     if not band.any():
         band = np.zeros_like(freqs, dtype=bool)
         band[np.argmin(np.abs(freqs - band_center))] = True
-    mags, times = [], []
-    for start in range(0, x.size - n_frame + 1, n_hop):
-        seg = x[start : start + n_frame] * window
-        mags.append(float(np.max(np.abs(np.fft.rfft(seg))[band])))
-        times.append((start + 0.5 * n_frame) / sample_rate)
-    return np.array(times), np.array(mags)
+    if x.size < n_frame:
+        return np.empty(0), np.empty(0)
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
+    # Frames overlap n_frame / n_hop times, so transforming them all at once
+    # would hold that many windowed copies of the clip; a block holds one.
+    blocks = np.array_split(frames, max(1, n_frame // n_hop))
+    mags = np.concatenate(
+        [np.max(np.abs(np.fft.rfft(b * window, axis=-1)[:, band]), axis=-1) for b in blocks]
+    )
+    times = (n_hop * np.arange(len(frames)) + 0.5 * n_frame) / sample_rate
+    return times, mags
 
 
 def fit_decay(

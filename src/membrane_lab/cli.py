@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .loading import (
     optimize_two_region,
     simulate_layers,
 )
+# default_ceiling stays importable here: bench/tracing.py wraps it in this module.
 from .membrane import (
     ModeTable,
     RadialDensityProfile,
@@ -53,23 +55,16 @@ def _load_profile_arg(path: str) -> RadialDensityProfile:
     return RadialDensityProfile.loads(Path(path).read_text())
 
 
-def _solve(profile: RadialDensityProfile, m_max: int, n_max: int, f_ceiling: float | None):
-    """Solve the profile up to the given ceiling, or the default one."""
-    if f_ceiling is None:
-        f_ceiling = default_ceiling(profile, n_max, m_max)
-    return composite_modes(profile, m_max, n_max, f_ceiling)
-
-
-def _load_table_source(path: str, m_max: int, n_max: int, f_ceiling: float | None):
+def _load_table_source(path: str, m_max: int, n_max: int, f_ceiling: float):
     """A modes source is either a density profile or a serialised table."""
     doc = json.loads(Path(path).read_text())
     if "modes" in doc:
         return ModeTable.from_json_dict(doc)
-    return _solve(RadialDensityProfile.from_json_dict(doc), m_max, n_max, f_ceiling)
+    return composite_modes(RadialDensityProfile.from_json_dict(doc), m_max, n_max, f_ceiling)
 
 
 def _cmd_modes(args) -> int:
-    table = _solve(_load_profile_arg(args.profile), args.m_max, args.n_max, args.f_ceiling)
+    table = composite_modes(_load_profile_arg(args.profile), args.m_max, args.n_max, args.f_ceiling)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
     else:
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile", help="profile JSON path")
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--f-ceiling", type=float, default=None)
+    p.add_argument("--f-ceiling", type=float, default=math.inf)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_modes)
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--f-ceiling", type=float, default=None)
+    p.add_argument("--f-ceiling", type=float, default=math.inf)
     p.add_argument("--annular", choices=("kucchi", "thool"), default=None)
     p.add_argument("--suppression", type=float, default=0.3)
     p.set_defaults(fn=_cmd_synth)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import SolverError
 from .harmonicity import HarmonicAssessment, harmonicity_score
+# default_ceiling stays importable here: bench/tracing.py wraps it in this module.
 from .membrane import ModeTable, RadialDensityProfile, composite_modes, default_ceiling
 
 GRID_POINTS = 24
@@ -142,8 +143,7 @@ def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> Harmoni
     that degenerate partners collapse exactly, which a radial loading
     cannot do and the instrument does not need.
     """
-    ceiling = default_ceiling(profile, _OBJ_N_MAX, _OBJ_M_MAX)
-    table = composite_modes(profile, _OBJ_M_MAX, _OBJ_N_MAX, ceiling)
+    table = composite_modes(profile, _OBJ_M_MAX, _OBJ_N_MAX, math.inf)
     freqs = table.frequencies
     f0_estimate = freqs[1] / 2.0
     window = freqs[freqs <= (overtones + 1.55) * f0_estimate]
@@ -472,9 +472,7 @@ def simulate_layers(
     for i, step in enumerate(steps, start=1):
         profile = apply_layers(profile, [step])
         try:
-            table = composite_modes(
-                profile, m_max, n_max, default_ceiling(profile, n_max, m_max)
-            )
+            table = composite_modes(profile, m_max, n_max, math.inf)
         except SolverError as exc:
             raise SolverError(f"layer {i}: {exc}") from exc
         f = table.frequencies

@@ -9,10 +9,11 @@ displacement of an azimuthal-order-m mode is
 with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
-The scan walks all azimuthal orders at once (one grid row per order) and
-refines suspicious dips in one batch per level; the n_max lowest brackets
-of each order are then polished together by Illinois false position with
-a bisection safeguard.  One kernel, _propagate, serves each step and
+The radial equation is Sturm-Liouville, so the number of order-m modes
+below f is the number of zeros of the propagated solution inside the head;
+the solver bisects on that count until each bracket holds root n alone,
+then polishes all brackets together by Illinois false position with a
+bisection safeguard.  One kernel, _propagate, serves each step and
 mode_shape.  Slopes come from the recurrence
 f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each boundary needs J
 and Y at orders m and m-1 only; orders are integers, so Y comes from
@@ -29,22 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_y, bessel_zero
+from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero
 from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 
-# Scan resolution: 1/20 of the modal spacing of a uniform membrane at the
-# densest ring (loaded spectra are denser than the lightest uniform one,
-# never denser than the heaviest).
-SCAN_DIVISIONS = 20
 BISECT_RTOL = 1e-11
 BISECT_CAP = 200
 # Steps the polish may fall behind bisection of the same bracket.
 _POLISH_SLACK = 4
-# A local |D| minimum this far below its row's median, with no sign change
-# beside it, may hide two near-degenerate roots: it gets a 4x finer look, a
-# dip there another, up to _FINER_LOOKS deep (4x, 16x and 64x finer steps).
-_DIP_RATIO = 1e-3
-_FINER_LOOKS = 3
+# The Sturm brackets are exact for a uniform head, which puts both ends on
+# the root; this keeps it strictly inside.
+_BRACKET_WIDEN = 1.01
 
 
 @dataclass(frozen=True)
@@ -202,12 +197,13 @@ def uniform_modes(
 def _propagate(profile: RadialDensityProfile, orders, freqs):
     """Carry the regular solution outward across every ring boundary.
 
-    Orders broadcast against frequencies, so one call evaluates rows of
-    frequency grids (one per order) or polishes brackets from every order
-    at once.  Ring i holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with
-    A_1 = S_1 = 1, B_1 = 0.
-    Returns ([(A_i, B_i, S_i) for each ring], D), where D is the rim
-    displacement divided by S_N.
+    Orders broadcast against frequencies, so one call evaluates points
+    from every order at once.  Ring i holds u = S_i (A_i J_m(k_i r) +
+    B_i Y_m(k_i r)) with A_1 = S_1 = 1, B_1 = 0.
+    Returns (coeffs, ends, D): coeffs[i] = (A_i, B_i, S_i); ends[i] pairs
+    the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius, x = k_i r
+    and u the displacement up to a positive factor, for _zero_count (ring
+    1 has no inner end); D is the rim displacement divided by S_N.
 
     The recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2) makes
     du/dr + (m/r) u = k (A J_{m-1} + B Y_{m-1}); it is continuous wherever
@@ -215,8 +211,8 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     of the slope and needs J and Y at orders m and m-1 only.  The solve
     uses the analytic Wronskian inverse (J_m Y_{m-1} - J_{m-1} Y_m =
     2 / (pi x)).  After every boundary (A, B) is divided by the positive
-    factor max(|A|, |B|), folded into S, so the sign of D, which the
-    bracketing relies on, is preserved.
+    factor max(|A|, |B|), folded into S, which keeps the sign of u and D
+    and the phase of (A, B).
     """
     from scipy import special
 
@@ -228,19 +224,24 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     B = np.zeros_like(freqs)
     S = np.ones_like(freqs)
     coeffs = [(A, B, S)]
+    ends, inner = [], None
     for i in range(len(ks) - 1):
         rb = profile.rings[i][0] * R
         xl = ks[i] * rb
         xr = ks[i + 1] * rb
-        u = A * special.jv(m, xl)
+        jl, yl = special.jv(m, xl), special.yn(m, xl)
+        u = A * jl
         w = A * special.jv(m - 1, xl)
         if i > 0:  # no Y term in the first ring
-            u = u + B * special.yn(m, xl)
+            u = u + B * yl
             w = w + B * special.yn(m - 1, xl)
+        ends.append((inner, (xl, jl, yl, u)))
         w = ks[i] * w
         half_pi_rb = 0.5 * math.pi * rb
-        A = half_pi_rb * (ks[i + 1] * special.yn(m - 1, xr) * u - special.yn(m, xr) * w)
-        B = half_pi_rb * (special.jv(m, xr) * w - ks[i + 1] * special.jv(m - 1, xr) * u)
+        jr, yr = special.jv(m, xr), special.yn(m, xr)
+        inner = (xr, jr, yr, u)
+        A = half_pi_rb * (ks[i + 1] * special.yn(m - 1, xr) * u - yr * w)
+        B = half_pi_rb * (jr * w - ks[i + 1] * special.jv(m - 1, xr) * u)
         scale = np.maximum(np.abs(A), np.abs(B))
         scale = np.where(scale > 0.0, scale, 1.0)
         A = A / scale
@@ -248,10 +249,55 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
         S = S * scale
         coeffs.append((A, B, S))
     last = ks[-1] * R
-    D = A * special.jv(m, last)
-    if len(ks) > 1:
-        D = D + B * special.yn(m, last)
-    return coeffs, D
+    j_rim, y_rim = special.jv(m, last), special.yn(m, last)
+    D = A * j_rim + B * y_rim
+    ends.append((inner, (last, j_rim, y_rim, D)))
+    return coeffs, ends, D
+
+
+def _crossings_below(m, phi, x, j, y, u):
+    """Index of the last zero crossing of a ring's solution below one end.
+
+    With J_m = M cos(theta) and Y_m = M sin(theta) (DLMF 10.18.1) a ring
+    holds u proportional to cos(psi), psi = theta(x) - phi, so its zeros
+    are where psi crosses pi/2 + k pi; returns the largest such k strictly
+    below psi.  atan2(Y, J) gives theta modulo 2 pi, and the Debye form
+    sqrt(x^2 - m^2) - m arccos(m/x) - pi/4 (DLMF 10.19.6, held at -pi/4 for
+    x <= m), within pi/4 of theta for m <= 12, gives the whole turns.
+    Rounding cannot place psi beside a crossing when |Y| dwarfs J, so psi
+    names the nearest crossing and the sign of u the side.
+    """
+    wrapped = np.arctan2(y, j)
+    debye = np.sqrt(np.maximum(x * x - m * m, 0.0)) - m * np.arccos(np.minimum(m, x) / x) - 0.25 * math.pi
+    psi = wrapped + 2.0 * math.pi * np.round((debye - wrapped) / (2.0 * math.pi)) - phi
+    k = np.round((psi - 0.5 * math.pi) / math.pi)
+    # Just past crossing k, cos(psi) has the sign of (-1)^(k+1).
+    return k - 1.0 + (np.where(k % 2 == 1.0, u, -u) > 0.0)
+
+
+def _zero_count(orders, coeffs, ends) -> np.ndarray:
+    """N_m(f), the number of order-m modes below f, from one _propagate call.
+
+    The radial equation is Sturm-Liouville, so N_m(f) is the number of
+    zeros of the regular solution in (0, R) (Wittrick & Williams 1971):
+    the sum over rings of the crossings between each ring's ends, with
+    phi_i = atan2(B_i, A_i).  Ring 1 starts at r = 0+, just past crossing
+    -1 (theta = -pi/2, phi_1 = 0, u > 0).  A zero on a boundary counts in
+    the ring outside it, and one on the rim (D = 0) not at all.
+    """
+    count = 1.0
+    for (a, b, _), (inner, outer) in zip(coeffs, ends):
+        phi = np.arctan2(b, a)
+        count = count + _crossings_below(orders, phi, *outer)
+        if inner is not None:
+            count = count - _crossings_below(orders, phi, *inner)
+    return count.astype(int)
+
+
+def _probe(profile: RadialDensityProfile, orders, freqs):
+    """The mode count N_m(f) and the rim displacement D at each point."""
+    coeffs, ends, d = _propagate(profile, orders, freqs)
+    return _zero_count(orders, coeffs, ends), d
 
 
 def _polish(
@@ -262,19 +308,20 @@ def _polish(
     d_lo: np.ndarray,
     d_hi: np.ndarray,
 ) -> np.ndarray:
-    """Shrink sign-change brackets from every azimuthal order onto their roots.
+    """Shrink isolated brackets from every azimuthal order onto their roots.
 
-    Illinois false position (Dowell & Jarratt 1972): the next point is where
-    the chord through the bracket ends crosses zero, it replaces the end of
-    its own sign, and an end kept by two chord steps in a row has its D
-    halved, so the far end moves too.  As a bisection safeguard the point
-    is pulled toward the midpoint just far enough that neither part is
-    wider than bisection would have left the bracket _POLISH_SLACK steps
-    earlier (a pulled point is no chord step), so no bracket takes more
-    than _POLISH_SLACK steps beyond bisection's count.  Each step
-    evaluates, in one _propagate call, only the brackets still wider than
-    BISECT_RTOL of their midpoint; returns the midpoints of the final
-    brackets.
+    Each bracket holds one root, at a sign change of D or at an end where
+    D is exactly zero.  Illinois false position (Dowell & Jarratt 1972):
+    the next point is where the chord through the bracket ends crosses
+    zero, it replaces the end of its own sign, and an end kept by two
+    chord steps in a row has its D halved, so the far end moves too.  As a
+    bisection safeguard the point is pulled toward the midpoint just far
+    enough that neither part is wider than bisection would have left the
+    bracket _POLISH_SLACK steps earlier (a pulled point is no chord step),
+    so no bracket takes more than _POLISH_SLACK steps beyond bisection's
+    count.  Each step evaluates D alone, in one _propagate call, at only
+    the brackets still wider than BISECT_RTOL of their midpoint; returns
+    the midpoints of the final brackets.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
     start_width = hi - lo
@@ -291,7 +338,7 @@ def _polish(
         allowed = start_width[act] * 2.0 ** (_POLISH_SLACK - step - 1)
         x = np.where((chord > a) & (chord < b), chord, mid[act])
         x = np.clip(x, b - allowed, a + allowed)
-        _, fx = _propagate(profile, orders[act], x)
+        *_, fx = _propagate(profile, orders[act], x)
         move_hi = fa * fx < 0.0
         # An exact zero closes the bracket on it.
         lo[act] = np.where(move_hi, a, x)
@@ -305,65 +352,6 @@ def _polish(
     )
 
 
-def _lowest_brackets(brackets: np.ndarray, n_max: int) -> np.ndarray:
-    """The n_max lowest brackets of each order, a zero found twice kept once.
-
-    Brackets never overlap, so the lowest ones hold the lowest roots.
-    """
-    brackets = brackets[:, np.lexsort((brackets[1], brackets[0]))]
-    m, lo, hi = brackets[:3]
-    fresh = np.ones(m.size, dtype=bool)
-    fresh[1:] = (m[1:] != m[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    brackets = brackets[:, fresh]
-    m = brackets[0]
-    rank = np.arange(m.size) - np.searchsorted(m, m)
-    return brackets[:, rank < n_max]
-
-
-def _find_brackets(profile: RadialDensityProfile, orders, grid) -> np.ndarray:
-    """Sign-change brackets of the rim displacement along rows of frequency grids.
-
-    Row i of the grid belongs to azimuthal order orders[i]; the two
-    broadcast together.  Returns a (5, k) array of (order, lo, hi, D(lo),
-    D(hi)) columns; a grid point where D is exactly zero comes back as a
-    zero-width bracket, which the polish returns as it is.
-
-    A dip (see _DIP_RATIO) gets a 9-point row spanning its two neighbours,
-    4x finer, and a dip there another, up to _FINER_LOOKS levels deep.
-    Each level evaluates all of its rows in one _propagate call.
-    """
-    found = []
-    for level in range(_FINER_LOOKS + 1):  # the given rows, then the finer looks
-        orders, grid = np.broadcast_arrays(orders, grid)
-        _, d = _propagate(profile, orders, grid)
-        change = d[:, :-1] * d[:, 1:] < 0.0
-        rows, j = np.nonzero(change)
-        found.append(np.stack(
-            (orders[rows, j], grid[rows, j], grid[rows, j + 1], d[rows, j], d[rows, j + 1])
-        ))
-        zero = d == 0.0
-        found.append(np.stack((orders[zero], grid[zero], grid[zero], d[zero], d[zero])))
-        absd = np.abs(d)
-        mid = absd[:, 1:-1]
-        dips = (
-            (mid < absd[:, :-2])
-            & (mid < absd[:, 2:])
-            & (mid < _DIP_RATIO * np.median(absd, axis=1, keepdims=True))
-            & ~change[:, :-1]
-            & ~change[:, 1:]
-        )
-        rows, j = np.nonzero(dips)
-        if level == _FINER_LOOKS or not rows.size:
-            break
-        orders = orders[rows, j][:, None]
-        dip = grid[rows, j + 1]
-        grid = np.linspace(grid[rows, j], grid[rows, j + 2], 9, axis=-1)
-        # The dip itself, not linspace's value an ulp away: an exact zero
-        # there must come back as the same zero-width bracket.
-        grid[:, 4] = dip
-    return np.concatenate(found, axis=1)
-
-
 def composite_modes(
     profile: RadialDensityProfile,
     m_max: int,
@@ -372,48 +360,59 @@ def composite_modes(
 ) -> ModeTable:
     """Transfer-matrix eigenfrequencies of a ringed profile, merged over m.
 
-    Scans every azimuthal order at once, one row per order, in chunks of
-    512 steps of 1/20 of the conservative modal spacing; an order leaves
-    the scan once it has n_max roots.  Suspicious dips are refined in one
-    batch per level; the n_max lowest brackets of each order (the rest can
-    never make the table) are polished in one batch, so each chunk,
-    refinement level and polish step is one _propagate call.  Returns the
-    n_max lowest roots per order below f_ceiling.
-    Raises InsufficientCeiling when an order comes up short (reporting how
-    many roots it did find).
+    Each mode is isolated by the mode count N_m(f) (see _zero_count).  By
+    Sturm comparison root n of order m lies between the n-th root of a
+    uniform membrane at the heaviest ring density and at the lightest;
+    that bracket, widened by _BRACKET_WIDEN and capped at f_ceiling, is
+    halved, all (m, n) together in one _propagate call per step, until
+    N_m(lo) = n - 1 and N_m(hi) = n.  Each bracket then holds root n alone,
+    so n is its count, not its position, and _polish finishes them all in
+    one batch.  f_ceiling is only a limit: math.inf solves every profile.
+    Returns the n_max lowest roots of each order m <= m_max.
+    Raises InsufficientCeiling when an order has fewer than n_max roots
+    below f_ceiling (found is N_m(f_ceiling)), and ConvergenceError when an
+    isolated bracket has D of one sign at both ends.
     """
-    if m_max < 0 or n_max < 1:
-        raise ValueError("m_max must be >= 0 and n_max >= 1")
+    if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
+        raise ValueError(
+            f"m_max must lie in [0, {MAX_ORDER}] and n_max in [1, {MAX_ZERO_INDEX}]"
+        )
     if not f_ceiling > 0:  # NaN fails this too
         raise ValueError(f"f_ceiling must be positive, got {f_ceiling}")
-    sigma_max = max(profile.densities)
-    spacing = math.sqrt(profile.tension / sigma_max) / (2.0 * profile.radius)
-    step = spacing / SCAN_DIVISIONS
-    fp = profile.fingerprint()
+    m = np.repeat(np.arange(m_max + 1), n_max)
+    n = np.tile(np.arange(1, n_max + 1), m_max + 1)
+    uniform = np.array([bessel_zero(int(o), int(k)) for o, k in zip(m, n)])
+    uniform *= math.sqrt(profile.tension) / (2.0 * math.pi * profile.radius)
+    lo = uniform / (math.sqrt(max(profile.densities)) * _BRACKET_WIDEN)
+    hi = np.minimum(uniform * _BRACKET_WIDEN / math.sqrt(min(profile.densities)), f_ceiling)
+    n_lo, d_lo = _probe(profile, m, lo)
+    n_hi, d_hi = _probe(profile, m, hi)
 
-    counts = np.zeros(m_max + 1, dtype=int)
-    brackets = np.empty((5, 0))
-    grid = np.empty(0)
-    f_lo = step
-    while (counts < n_max).any() and f_lo < f_ceiling:
-        # A chunk of 512 steps past f_lo, led by the last point of the one
-        # before, so a sign change across the seam is bracketed too.
-        new = f_lo + step * np.arange(513)
-        grid = np.concatenate((grid[-1:], new[new <= f_ceiling + step]))
-        more = _find_brackets(profile, np.flatnonzero(counts < n_max)[:, None], grid)
-        brackets = _lowest_brackets(np.concatenate((brackets, more), axis=1), n_max)
-        counts = np.bincount(brackets[0].astype(int), minlength=m_max + 1)
-        f_lo = grid[-1] + step
-    m, lo, hi, d_lo, d_hi = brackets
+    below_ceiling = n_hi[n == n_max]  # N_m(f_ceiling) where f_ceiling capped hi
+    short = np.flatnonzero(below_ceiling < n_max)
+    if short.size:
+        order = int(short[0])
+        raise InsufficientCeiling(order, int(below_ceiling[order]), n_max, f_ceiling)
+
+    for _ in range(BISECT_CAP):
+        act = np.flatnonzero((n_lo != n - 1) | (n_hi != n))
+        if not act.size:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        n_mid, d_mid = _probe(profile, m[act], mid)
+        up = n_mid >= n[act]
+        above, below = act[up], act[~up]
+        hi[above], n_hi[above], d_hi[above] = mid[up], n_mid[up], d_mid[up]
+        lo[below], n_lo[below], d_lo[below] = mid[~up], n_mid[~up], d_mid[~up]
+    else:
+        raise ConvergenceError(f"modes not isolated in {BISECT_CAP} bisection steps")
+    if np.any(d_lo * d_hi > 0.0):
+        raise ConvergenceError("an isolated mode has D of one sign at both bracket ends")
+    # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
+    hi = np.where(d_lo == 0.0, lo, hi)
     roots = _polish(profile, m, lo, hi, d_lo, d_hi)
-
-    modes: list[Mode] = []
-    for order in range(m_max + 1):
-        mine = np.unique(roots[m == order])
-        mine = mine[mine <= f_ceiling][:n_max]
-        if mine.size < n_max:
-            raise InsufficientCeiling(order, mine.size, n_max, f_ceiling)
-        modes.extend(Mode(order, n, float(f), fp) for n, f in enumerate(mine, start=1))
+    fp = profile.fingerprint()
+    modes = [Mode(int(o), int(k), float(f), fp) for o, k, f in zip(m, n, roots)]
     return _sorted_table(fp, modes)
 
 
@@ -442,7 +441,7 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
         )
     R = profile.radius
     ks = [2.0 * math.pi * mode.frequency * math.sqrt(sig / profile.tension) for sig in profile.densities]
-    coeffs, _ = _propagate(profile, mode.m, mode.frequency)
+    coeffs, _, _ = _propagate(profile, mode.m, mode.frequency)
 
     r = np.linspace(0.0, R, samples)
     boundaries = np.array([f * R for f, _ in profile.rings])

@@ -56,10 +56,11 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def two_region_determinant(
-    f: float, m: int, radius: float, tension: float,
+    f, m: int, radius: float, tension: float,
     patch_fraction: float, sigma_inner: float, sigma_outer: float,
-) -> float:
-    """Closed-form eigencondition for a single density step.
+):
+    """Closed-form eigencondition for a single density step, at a frequency
+    or an array of them.
 
     Inner solution J_m(k1 r) matched to B J_m(k2 r) + C Y_m(k2 r) with the
     rim-clamped combination substituted, leaving one scalar determinant.
@@ -88,10 +89,7 @@ def two_region_modes(
     f_hi = 1.1 * special.jn_zeros(m, n_max)[-1] * c_fast / (2.0 * math.pi * radius)
     f_lo = 0.02 * c_slow / (2.0 * radius)
     grid = np.linspace(f_lo, f_hi, scan_points)
-    vals = np.array([
-        two_region_determinant(f, m, radius, tension, patch_fraction, sigma_inner, sigma_outer)
-        for f in grid
-    ])
+    vals = two_region_determinant(grid, m, radius, tension, patch_fraction, sigma_inner, sigma_outer)
     roots = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
         root = brentq(

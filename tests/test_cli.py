@@ -47,6 +47,13 @@ class TestModesCommand:
         assert run("modes", str(DATA / "default_profile.json"), "--f-ceiling", "inf") == 0
         assert capsys.readouterr().out.startswith("m,n,frequency_hz\n")
 
+    def test_oversized_orders_are_data_error(self, capsys):
+        assert run(
+            "modes", str(DATA / "default_profile.json"),
+            "--m-max", "1000000", "--n-max", "1", "--f-ceiling", "300",
+        ) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: m_max must lie in [0, 12]")
+
     def test_numerical_failure_exit_code(self, capsys):
         # a ceiling below the first mode cannot yield the requested roots
         assert run(

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membrane_lab import membrane
 from membrane_lab.bessel import bessel_zero
-from membrane_lab.errors import InsufficientCeiling, ProfileMismatch
+from membrane_lab.errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 from membrane_lab.membrane import (
-    SCAN_DIVISIONS,
     Mode,
     ModeTable,
     RadialDensityProfile,
@@ -26,6 +27,35 @@ UNIFORM_DRUM_RATIOS = [1.0, 1.59, 2.14, 2.30, 2.65, 3.16, 3.50]
 
 def two_ring(fraction, ratio, radius=1.0, tension=1.0, field=1.0):
     return RadialDensityProfile(radius, tension, ((fraction, ratio * field), (1.0, field)))
+
+
+# Contrast 400 makes the Sturm brackets of n = 1..3 at m = 0, 1 wide enough
+# to hold the stubbed roots below: each spans about 0.06-0.24 to 1.2-4.9 Hz.
+STUB_PROFILE = RadialDensityProfile(1.0, 9.0, ((0.5, 400.0), (1.0, 1.0)))
+
+
+def stub_solution(monkeypatch, residual, count):
+    """Replace the kernel with D = residual(f), the same for every order, and
+    the mode count with count(f); returns the frequency arrays evaluated."""
+    calls = []
+
+    def fake_propagate(profile, orders, freqs):
+        calls.append(freqs)
+        _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
+        return [], freqs, residual(freqs)
+
+    monkeypatch.setattr(membrane, "_propagate", fake_propagate)
+    monkeypatch.setattr(membrane, "_zero_count", lambda orders, coeffs, freqs: count(freqs))
+    return calls
+
+
+def stub_roots(monkeypatch, *roots):
+    """A stub whose D vanishes exactly at the given roots, counted below f."""
+    return stub_solution(
+        monkeypatch,
+        lambda f: np.prod([f - r for r in roots], axis=0),
+        lambda f: np.sum([f > r for r in roots], axis=0),
+    )
 
 
 class TestProfile:
@@ -197,44 +227,37 @@ class TestCompositeModes:
         assert exc.value.found == 1
         assert exc.value.requested == 3
 
-    def test_ceiling_below_first_scan_step_finds_nothing(self):
+    def test_ceiling_below_the_first_root_finds_nothing(self):
         profile = two_ring(0.4, 2.0)
-        step = math.sqrt(1.0 / 2.0) / 2.0 / SCAN_DIVISIONS
+        f1 = composite_modes(profile, 0, 1, math.inf).frequencies[0]
         with pytest.raises(InsufficientCeiling) as exc:
-            composite_modes(profile, 2, 1, 0.5 * step)
+            composite_modes(profile, 2, 1, 0.5 * f1)
         assert exc.value.found == 0
 
     @pytest.mark.parametrize(
         "a, b",
         [
-            (1.003, 1.009),  # split by the first 4x finer look
-            (1.00005, 1.002),  # still hidden there, split by the second
-            (1.0000156, 1.000625),  # hidden at 4x and 16x, split by the third
+            (1.003, 1.009),
+            (1.00005, 1.002),
+            (1.0000156, 1.000625),
+            (1.0, 1.0000001),  # 1e-7 relative apart
         ],
     )
     def test_hidden_near_degenerate_pair_is_refined(self, monkeypatch, a, b):
-        # Both roots sit inside one scan step (1.0, 1.025) of the unit
-        # profile, so D never changes sign on the coarse grid.
-        def pair(profile, orders, freqs):
-            _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
-            return [], (freqs - a) * (freqs - b)
-
-        monkeypatch.setattr(membrane, "_propagate", pair)
-        profile = RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),))
-        table = composite_modes(profile, 1, 2, 1.5)
+        # Both roots of each order lie in the Sturm brackets of n = 1 and 2;
+        # only the count tells them apart.
+        stub_roots(monkeypatch, a, b)
+        table = composite_modes(STUB_PROFILE, 1, 2, 3.0)
         for m in (0, 1):
             got = [mo.frequency for mo in table if mo.m == m]
             assert np.allclose(got, [a, b], rtol=0.0, atol=1e-9)
+            assert got[0] < got[1]
 
-    def test_scan_past_the_first_chunk_matches_oracle(self):
-        # At contrast 50 the scan step follows the heavy patch, so the
-        # seventh roots lie beyond the first 512-step chunk.
+    def test_seventh_roots_at_contrast_50_match_oracle(self):
         profile = two_ring(0.1, 50.0)
         table = composite_modes(profile, 1, 7, default_ceiling(profile, 7, 1))
-        step = math.sqrt(1.0 / 50.0) / 2.0 / SCAN_DIVISIONS
         for m in (0, 1):
             got = [mo.frequency for mo in table if mo.m == m]
-            assert got[-1] > 513 * step
             expected = two_region_modes(m, 7, 1.0, 1.0, 0.1, 50.0, 1.0)
             assert len(expected) == 7
             for e, g in zip(expected, got):
@@ -251,6 +274,11 @@ class TestCompositeModes:
         for t in tables:
             assert np.array_equal(t.frequencies, serial.frequencies)
 
+    @pytest.mark.parametrize("m_max, n_max", [(13, 1), (1_000_000, 1), (0, 21), (-1, 1), (0, 0)])
+    def test_rejects_sizes_beyond_the_bessel_tables(self, m_max, n_max):
+        with pytest.raises(ValueError, match="m_max must lie in"):
+            composite_modes(two_ring(0.4, 3.7), m_max, n_max, 300.0)
+
     def test_rejects_nan_ceiling_and_accepts_infinite(self):
         profile = two_ring(0.4, 3.7)
         with pytest.raises(ValueError, match="f_ceiling must be positive"):
@@ -261,8 +289,8 @@ class TestCompositeModes:
     def test_polish_work_per_solve(self, monkeypatch):
         # Counts, not time: the objective's solve (two-region 0.4/3.7 at
         # m <= 4, n <= 4) polishes only the 20 brackets the table keeps, and
-        # the whole solve stays far below the 2,257 residual points that
-        # bisecting all 34 scanned brackets cost.
+        # the whole solve, isolation included, stays far below the 2,257
+        # residual points that scanning and bisecting 34 brackets once cost.
         received, points = [], []
         polish, propagate = membrane._polish, membrane._propagate
 
@@ -271,9 +299,9 @@ class TestCompositeModes:
             return polish(profile, orders, *rest)
 
         def counted_propagate(profile, orders, freqs):
-            coeffs, d = propagate(profile, orders, freqs)
-            points.append(d.size)
-            return coeffs, d
+            out = propagate(profile, orders, freqs)
+            points.append(out[-1].size)
+            return out
 
         monkeypatch.setattr(membrane, "_polish", counted_polish)
         monkeypatch.setattr(membrane, "_propagate", counted_propagate)
@@ -298,18 +326,6 @@ class TestPolish:
             steps += 1
         return steps
 
-    @staticmethod
-    def patch_residual(monkeypatch, residual):
-        calls = []
-
-        def fake(profile, orders, freqs):
-            calls.append(freqs)
-            _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
-            return [], residual(freqs)
-
-        monkeypatch.setattr(membrane, "_propagate", fake)
-        return calls
-
     @pytest.mark.parametrize(
         "residual",
         [
@@ -319,32 +335,28 @@ class TestPolish:
         ids=["asymmetric", "cubic"],
     )
     def test_converges_within_bisection_count(self, monkeypatch, residual):
-        calls = self.patch_residual(monkeypatch, residual)
+        calls = stub_solution(monkeypatch, residual, None)
         lo, hi = np.array([1.0]), np.array([1.05])
         root = membrane._polish(None, np.zeros(1), lo, hi, residual(lo), residual(hi))
         assert abs(root[0] - 1.003) <= 1e-11 * 1.003
         assert len(calls) <= self.bisection_steps(residual, 1.0, 1.05) + membrane._POLISH_SLACK
 
-    def test_exact_zero_on_the_scan_grid_comes_back_unchanged(self, monkeypatch):
-        # The unit profile's scan grid, with composite_modes' arithmetic.
-        step = 0.5 / SCAN_DIVISIONS
-        grid = step + step * np.arange(513)
-        zero = grid[6]
-        # A zero is also a dip, so the finer looks meet it again; here
-        # linspace would put their centre an ulp away from it.  Found once,
-        # it leaves the orders in the scan for the second root, which lies
-        # past the first chunk.
-        assert np.linspace(grid[5], grid[7], 9)[4] != zero
-        self.patch_residual(monkeypatch, lambda f: (f - zero) * (f - 14.0))
-        table = composite_modes(RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),)), 1, 2, 20.0)
-        for m in (0, 1):
-            got = [mo.frequency for mo in table if mo.m == m]
-            assert got[0] == zero
-            assert got[1] == pytest.approx(14.0, rel=1e-11)
+    def test_exact_zero_at_a_bisection_point_comes_back_unchanged(self, monkeypatch):
+        # The first bisection point of (m, n) = (0, 1) depends only on its
+        # Sturm bracket; record it, then put the first root exactly there.
+        calls = stub_roots(monkeypatch, 0.5, 1.0)
+        composite_modes(STUB_PROFILE, 0, 2, 3.0)
+        zero = calls[2][0]  # calls 0 and 1 are the bracket ends
+        calls = stub_roots(monkeypatch, zero, 1.0)
+        table = composite_modes(STUB_PROFILE, 0, 2, 3.0)
+        assert calls[2][0] == zero
+        got = table.frequencies
+        assert got[0] == zero
+        assert got[1] == pytest.approx(1.0, rel=1e-11)
 
     def test_more_sign_changes_than_n_max_keep_the_lowest(self, monkeypatch):
-        # Roots every 0.15 from 0.16: each order's first chunk brackets
-        # dozens of them, and only the three lowest are polished.
+        # Roots every 0.15 from 0.16: each Sturm bracket holds several of
+        # them, and only the three lowest of each order are polished.
         polished = []
         polish = membrane._polish
 
@@ -353,12 +365,65 @@ class TestPolish:
             return polish(profile, orders, *rest)
 
         monkeypatch.setattr(membrane, "_polish", counted)
-        self.patch_residual(monkeypatch, lambda f: np.sin(math.pi * (f - 0.16) / 0.15))
-        table = composite_modes(RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),)), 1, 3, 10.0)
+        stub_solution(
+            monkeypatch,
+            lambda f: np.sin(math.pi * (f - 0.16) / 0.15),
+            lambda f: np.maximum(np.ceil((f - 0.16) / 0.15), 0.0).astype(int),
+        )
+        table = composite_modes(STUB_PROFILE, 1, 3, 10.0)
         assert polished == [6]
         for m in (0, 1):
             got = [mo.frequency for mo in table if mo.m == m]
             assert np.allclose(got, [0.16, 0.31, 0.46], rtol=1e-11, atol=0.0)
+
+    def test_bracket_without_sign_change_is_refused(self, monkeypatch):
+        # The count claims a root at 1.0 where D only touches zero: the
+        # isolated bracket keeps one sign of D, and nothing is polished.
+        polished = []
+        monkeypatch.setattr(membrane, "_polish", lambda *args: polished.append(args))
+        stub_solution(monkeypatch, lambda f: (f - 1.0) ** 2 + 1e-3, lambda f: (f > 1.0).astype(int))
+        with pytest.raises(ConvergenceError, match="one sign"):
+            composite_modes(STUB_PROFILE, 0, 1, 3.0)
+        assert polished == []
+
+
+@st.composite
+def ring_profiles(draw):
+    """Up to 32 rings of widths within 10x of each other and densities in
+    [1, 25], so doubling one keeps the contrast at or below 50."""
+    count = draw(st.integers(1, 32))
+    widths = draw(st.lists(st.floats(1.0, 10.0), min_size=count, max_size=count))
+    densities = draw(st.lists(st.floats(1.0, 25.0), min_size=count, max_size=count))
+    edges = np.cumsum(widths) / np.sum(widths)
+    edges[-1] = 1.0
+    return RadialDensityProfile(1.0, 1.0, tuple(zip(edges, densities)))
+
+
+class TestCountCertificate:
+    @settings(max_examples=15, deadline=None)
+    @given(profile=ring_profiles(), pick=st.integers(0, 31))
+    def test_ordered_lowered_by_mass_and_counted(self, profile, pick):
+        table = composite_modes(profile, 12, 2, math.inf)
+        m = np.array([mo.m for mo in table])
+        n = np.array([mo.n for mo in table])
+        f = table.frequencies
+        for order in range(13):
+            assert np.all(np.diff(f[m == order][np.argsort(n[m == order])]) > 0.0)
+
+        # N_m is n - 1 just below root n and n just above it.
+        for factor, expected in ((1.0 - 1e-9, n - 1), (1.0 + 1e-9, n)):
+            coeffs, ends, _ = membrane._propagate(profile, m, f * factor)
+            assert np.array_equal(membrane._zero_count(m, coeffs, ends), expected)
+
+        # Doubling one ring's density lowers every mode up to m = 2.  The
+        # ring reaches past 0.3 R: nearer the centre a mode's share of the
+        # mass falls as r^(2m + 2), below what the polish can resolve.
+        rings = list(profile.rings)
+        ring = max(pick % len(rings), next(i for i, (edge, _) in enumerate(rings) if edge >= 0.3))
+        rings[ring] = (rings[ring][0], 2.0 * rings[ring][1])
+        heavier = composite_modes(RadialDensityProfile(1.0, 1.0, tuple(rings)), 2, 2, math.inf)
+        light = {(mo.m, mo.n): mo.frequency for mo in table}
+        assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
 
 
 class TestModeShape:
