@@ -8,6 +8,7 @@ series it crowns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveFrequency, TooFewFrequencies
@@ -86,6 +87,9 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     out of analysis range.
     """
     fs = sorted(float(f) for f in frequencies)
+    bad = [f for f in fs if not math.isfinite(f)]
+    if bad:
+        raise ValueError(f"frequencies must be finite, got {bad[0]}")
     if len(fs) < 3:
         raise TooFewFrequencies("harmonicity score needs at least three frequencies")
     if not 3 <= max_overtone <= 10:

@@ -14,7 +14,9 @@ below f is the number of zeros of the propagated solution inside the head;
 the solver bisects on that count until each bracket holds root n alone,
 then polishes all brackets together by Illinois false position with a
 bisection safeguard.  One kernel, _propagate, serves each step and
-mode_shape.  Slopes come from the recurrence
+mode_shape; it reads each point's ring geometry, so one call can serve a
+stack of profiles with equal ring counts (_solve_stack, of which
+composite_modes is the one-profile case).  Slopes come from the recurrence
 f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each boundary needs J
 and Y at orders m and m-1 only; orders are integers, so Y comes from
 scipy's integer-order special.yn.
@@ -194,11 +196,25 @@ def uniform_modes(
     return _sorted_table(fp, modes)
 
 
-def _propagate(profile: RadialDensityProfile, orders, freqs):
+def _ring_geometry(profiles) -> np.ndarray:
+    """Per-profile ring geometry, shape (2, rings, profiles): row [0, i] is
+    ring i's outer radius and row [1, i] its slowness sqrt(sigma_i / T),
+    so k_i = 2 pi f slowness_i.  The profiles must have equal ring counts."""
+    if len({len(p.rings) for p in profiles}) != 1:
+        raise ValueError("a stack needs one or more profiles of equal ring count")
+    return np.array([
+        [[f * p.radius for f, _ in p.rings] for p in profiles],
+        [[math.sqrt(s / p.tension) for _, s in p.rings] for p in profiles],
+    ]).transpose(0, 2, 1)
+
+
+def _propagate(geometry, orders, freqs):
     """Carry the regular solution outward across every ring boundary.
 
-    Orders broadcast against frequencies, so one call evaluates points
-    from every order at once.  Ring i holds u = S_i (A_i J_m(k_i r) +
+    geometry is (edges, slownesses) as _ring_geometry gives them, one row
+    per ring; each row broadcasts against the points, as orders do against
+    frequencies, so one call evaluates points from every order and every
+    profile of a stack at once.  Ring i holds u = S_i (A_i J_m(k_i r) +
     B_i Y_m(k_i r)) with A_1 = S_1 = 1, B_1 = 0.
     Returns (coeffs, ends, D): coeffs[i] = (A_i, B_i, S_i); ends[i] pairs
     the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius, x = k_i r
@@ -217,8 +233,8 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     from scipy import special
 
     m, freqs = np.broadcast_arrays(np.asarray(orders, dtype=float), np.asarray(freqs, dtype=float))
-    R = profile.radius
-    ks = [2.0 * math.pi * freqs * math.sqrt(sig / profile.tension) for sig in profile.densities]
+    edges, slowness = geometry
+    ks = [2.0 * math.pi * freqs * s for s in slowness]
 
     A = np.ones_like(freqs)
     B = np.zeros_like(freqs)
@@ -226,7 +242,7 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
     coeffs = [(A, B, S)]
     ends, inner = [], None
     for i in range(len(ks) - 1):
-        rb = profile.rings[i][0] * R
+        rb = edges[i]
         xl = ks[i] * rb
         xr = ks[i + 1] * rb
         jl, yl = special.jv(m, xl), special.yn(m, xl)
@@ -248,7 +264,7 @@ def _propagate(profile: RadialDensityProfile, orders, freqs):
         B = B / scale
         S = S * scale
         coeffs.append((A, B, S))
-    last = ks[-1] * R
+    last = ks[-1] * edges[-1]
     j_rim, y_rim = special.jv(m, last), special.yn(m, last)
     D = A * j_rim + B * y_rim
     ends.append((inner, (last, j_rim, y_rim, D)))
@@ -294,21 +310,21 @@ def _zero_count(orders, coeffs, ends) -> np.ndarray:
     return count.astype(int)
 
 
-def _probe(profile: RadialDensityProfile, orders, freqs):
+def _probe(geometry, orders, freqs):
     """The mode count N_m(f) and the rim displacement D at each point."""
-    coeffs, ends, d = _propagate(profile, orders, freqs)
+    coeffs, ends, d = _propagate(geometry, orders, freqs)
     return _zero_count(orders, coeffs, ends), d
 
 
 def _polish(
-    profile: RadialDensityProfile,
+    geometry: np.ndarray,
     orders: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     d_lo: np.ndarray,
     d_hi: np.ndarray,
 ) -> np.ndarray:
-    """Shrink isolated brackets from every azimuthal order onto their roots.
+    """Shrink isolated brackets, one per point of geometry, onto their roots.
 
     Each bracket holds one root, at a sign change of D or at an end where
     D is exactly zero.  Illinois false position (Dowell & Jarratt 1972):
@@ -320,8 +336,9 @@ def _polish(
     bracket _POLISH_SLACK steps earlier (a pulled point is no chord step),
     so no bracket takes more than _POLISH_SLACK steps beyond bisection's
     count.  Each step evaluates D alone, in one _propagate call, at only
-    the brackets still wider than BISECT_RTOL of their midpoint; returns
-    the midpoints of the final brackets.
+    the brackets still wider than BISECT_RTOL of their midpoint; no
+    bracket's steps depend on another's.  Returns the midpoints of the
+    final brackets.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
     start_width = hi - lo
@@ -338,7 +355,7 @@ def _polish(
         allowed = start_width[act] * 2.0 ** (_POLISH_SLACK - step - 1)
         x = np.where((chord > a) & (chord < b), chord, mid[act])
         x = np.clip(x, b - allowed, a + allowed)
-        *_, fx = _propagate(profile, orders[act], x)
+        *_, fx = _propagate(geometry[..., act], orders[act], x)
         move_hi = fa * fx < 0.0
         # An exact zero closes the bracket on it.
         lo[act] = np.where(move_hi, a, x)
@@ -373,33 +390,56 @@ def composite_modes(
     below f_ceiling (found is N_m(f_ceiling)), and ConvergenceError when an
     isolated bracket has D of one sign at both ends.
     """
+    return _solve_stack([profile], m_max, n_max, f_ceiling)[0]
+
+
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float) -> list[ModeTable]:
+    """composite_modes of each profile in a stack of equal ring count.
+
+    The brackets of every (profile, m, n) form one array, so each
+    bisection and polish step is one _propagate call for the whole stack.
+    Every bracket is bisected and polished on its own, so each profile's
+    table is bit-identical to solving it alone.
+    """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
             f"m_max must lie in [0, {MAX_ORDER}] and n_max in [1, {MAX_ZERO_INDEX}]"
         )
     if not f_ceiling > 0:  # NaN fails this too
         raise ValueError(f"f_ceiling must be positive, got {f_ceiling}")
+    geometry = _ring_geometry(profiles)
     m = np.repeat(np.arange(m_max + 1), n_max)
     n = np.tile(np.arange(1, n_max + 1), m_max + 1)
     uniform = np.array([bessel_zero(int(o), int(k)) for o, k in zip(m, n)])
-    uniform *= math.sqrt(profile.tension) / (2.0 * math.pi * profile.radius)
-    lo = uniform / (math.sqrt(max(profile.densities)) * _BRACKET_WIDEN)
-    hi = np.minimum(uniform * _BRACKET_WIDEN / math.sqrt(min(profile.densities)), f_ceiling)
-    n_lo, d_lo = _probe(profile, m, lo)
-    n_hi, d_hi = _probe(profile, m, hi)
+    # One row per profile, in the same float operations as a lone solve.
+    uniform = uniform * np.array(
+        [[math.sqrt(p.tension) / (2.0 * math.pi * p.radius)] for p in profiles]
+    )
+    lo = uniform / np.array([[math.sqrt(max(p.densities)) * _BRACKET_WIDEN] for p in profiles])
+    hi = np.minimum(
+        uniform * _BRACKET_WIDEN / np.array([[math.sqrt(min(p.densities))] for p in profiles]),
+        f_ceiling,
+    )
+    width = m.size
+    lo, hi = lo.ravel(), hi.ravel()
+    geometry = geometry[..., np.repeat(np.arange(len(profiles)), width)]
+    m, n = np.tile(m, len(profiles)), np.tile(n, len(profiles))
+    n_lo, d_lo = _probe(geometry, m, lo)
+    n_hi, d_hi = _probe(geometry, m, hi)
 
-    below_ceiling = n_hi[n == n_max]  # N_m(f_ceiling) where f_ceiling capped hi
-    short = np.flatnonzero(below_ceiling < n_max)
+    # N_m(f_ceiling) where f_ceiling capped hi, one row per profile.
+    below_ceiling = n_hi[n == n_max].reshape(len(profiles), m_max + 1)
+    short = np.argwhere(below_ceiling < n_max)
     if short.size:
-        order = int(short[0])
-        raise InsufficientCeiling(order, int(below_ceiling[order]), n_max, f_ceiling)
+        row, order = short[0]
+        raise InsufficientCeiling(int(order), int(below_ceiling[row, order]), n_max, f_ceiling)
 
     for _ in range(BISECT_CAP):
         act = np.flatnonzero((n_lo != n - 1) | (n_hi != n))
         if not act.size:
             break
         mid = 0.5 * (lo[act] + hi[act])
-        n_mid, d_mid = _probe(profile, m[act], mid)
+        n_mid, d_mid = _probe(geometry[..., act], m[act], mid)
         up = n_mid >= n[act]
         above, below = act[up], act[~up]
         hi[above], n_hi[above], d_hi[above] = mid[up], n_mid[up], d_mid[up]
@@ -410,10 +450,13 @@ def composite_modes(
         raise ConvergenceError("an isolated mode has D of one sign at both bracket ends")
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
     hi = np.where(d_lo == 0.0, lo, hi)
-    roots = _polish(profile, m, lo, hi, d_lo, d_hi)
-    fp = profile.fingerprint()
-    modes = [Mode(int(o), int(k), float(f), fp) for o, k, f in zip(m, n, roots)]
-    return _sorted_table(fp, modes)
+    roots = _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
+    tables = []
+    for profile, row in zip(profiles, roots):
+        fp = profile.fingerprint()
+        modes = [Mode(int(o), int(k), float(f), fp) for o, k, f in zip(m, n, row)]
+        tables.append(_sorted_table(fp, modes))
+    return tables
 
 
 def default_ceiling(profile: RadialDensityProfile, n_max: int, m_max: int = 8) -> float:
@@ -439,13 +482,13 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
             "mode was not solved from this profile "
             f"(mode fingerprint {mode.source_fingerprint!r}, profile {fp!r})"
         )
-    R = profile.radius
-    ks = [2.0 * math.pi * mode.frequency * math.sqrt(sig / profile.tension) for sig in profile.densities]
-    coeffs, _, _ = _propagate(profile, mode.m, mode.frequency)
+    geometry = _ring_geometry([profile])[..., 0]
+    coeffs, _, _ = _propagate(geometry, mode.m, mode.frequency)
+    edges, slowness = geometry
+    ks = 2.0 * math.pi * mode.frequency * slowness
 
-    r = np.linspace(0.0, R, samples)
-    boundaries = np.array([f * R for f, _ in profile.rings])
-    region = np.searchsorted(boundaries, r, side="left")
+    r = np.linspace(0.0, profile.radius, samples)
+    region = np.searchsorted(edges, r, side="left")
     region = np.clip(region, 0, len(profile.rings) - 1)
     u = np.empty_like(r)
     for i, (a, b, scale) in enumerate(coeffs):

@@ -95,6 +95,12 @@ class TestUsageAndDataErrors:
         assert run(*argv) == 2
         assert "membrane-lab:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_data_error(self, capsys, epsilon):
+        argv = ["layers", str(DATA / "uniform_profile.json"), str(DATA / "layer_sequence.json")]
+        assert run(*argv, "--epsilon", epsilon) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: need finite epsilon > 0")
+
     def test_garbage_wav_is_data_error(self, tmp_path):
         fake = tmp_path / "fake.wav"
         fake.write_bytes(b"not audio")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -58,6 +60,11 @@ class TestHarmonicityScore:
     def test_too_few_frequencies(self):
         with pytest.raises(TooFewFrequencies):
             harmonicity_score([100.0, 200.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_named(self, bad):
+        with pytest.raises(ValueError, match=r"frequencies must be finite, got -?(nan|inf)"):
+            harmonicity_score([100.0, 200.0, bad, 400.0])
 
     def test_max_overtone_bounds(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,17 @@ def steps_from_config(doc):
 def _quadratic_assessment(x, overtones):
     """Stand-in objective with its minimum at (0.3, 7.0), off the grid."""
     return HarmonicAssessment(1.0, (), (x[0] - 0.3) ** 2 + (x[1] - 7.0) ** 2, 1.0)
+
+
+def stub_objective(monkeypatch, objective):
+    """Replace the search's objective with objective(profile, overtones),
+    both for the grid's stacks and for the simplex's single points."""
+    monkeypatch.setattr(loading, "harmonic_objective", objective)
+    monkeypatch.setattr(
+        loading,
+        "_stack_objective",
+        lambda profiles, overtones: [objective(p, overtones) for p in profiles],
+    )
 
 
 class TestCandidateAndProfiles:
@@ -118,7 +130,7 @@ class TestOptimizer:
 
     def test_budget_exhaustion_is_flagged_not_raised(self, monkeypatch):
         # a 6 x 6 grid: budget 15 runs out in the grid, budget 40 in the simplex
-        monkeypatch.setattr(loading, "harmonic_objective", _quadratic_assessment)
+        stub_objective(monkeypatch, _quadratic_assessment)
         for budget in (15, 40):
             _, used, exhausted = loading._grid_simplex_search(
                 lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, budget
@@ -127,7 +139,7 @@ class TestOptimizer:
             assert used == budget
 
     def test_simplex_stops_on_tolerance_within_budget(self, monkeypatch):
-        monkeypatch.setattr(loading, "harmonic_objective", _quadratic_assessment)
+        stub_objective(monkeypatch, _quadratic_assessment)
         x, used, exhausted = loading._grid_simplex_search(
             lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, 1000
         )
@@ -168,15 +180,89 @@ class TestOptimizer:
 
     def test_evaluations_count_distinct_solves(self, monkeypatch):
         solved = []
+        stack_objective = loading._stack_objective
 
         def counted(profile, overtones):
             solved.append(profile.rings)
             return harmonic_objective(profile, overtones)
 
+        def counted_stack(profiles, overtones):
+            solved.extend(p.rings for p in profiles)
+            return stack_objective(profiles, overtones)
+
         monkeypatch.setattr(loading, "harmonic_objective", counted)
+        monkeypatch.setattr(loading, "_stack_objective", counted_stack)
         res = optimize_two_region(budget=200, seed=42)
         assert res.evaluations == len(set(solved))
         assert res.budget_exhausted == (res.evaluations == 200)
+
+    def test_first_points_repeating_the_grid_are_solved_once(self, monkeypatch):
+        solved = []
+
+        def counted(x, overtones):
+            solved.append(x)
+            return _quadratic_assessment(x, overtones)
+
+        stub_objective(monkeypatch, counted)
+        first = [(0.0, 1.0), (0.5, 5.0), (0.5, 5.0)]  # a grid corner, then a repeat
+        _, used, exhausted = loading._grid_simplex_search(
+            lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, 37, first=first
+        )
+        axes = (np.linspace(0.0, 1.0, 6), np.linspace(1.0, 10.0, 6))
+        grid = [(float(a), float(b)) for a, b in itertools.product(*axes)]
+        assert solved == [(0.0, 1.0), (0.5, 5.0), *grid[1:]]
+        assert len(set(solved)) == len(solved) == used == 37
+        assert exhausted
+
+    def test_grid_values_match_the_one_profile_objective(self, monkeypatch):
+        # Read the cache back through the simplex's objective; a cache miss
+        # would call the stub and fail.
+        def profile_at(f, r):
+            return TwoRegionCandidate(f, r).to_profile()
+
+        bounds = (loading.DEFAULT_FRACTION_BOUNDS, loading.DEFAULT_RATIO_BOUNDS)
+        side = loading._grid_side(200)
+        grid = list(itertools.product(*(np.linspace(lo, hi, side) for lo, hi in bounds)))
+        assert len(grid) > loading._GRID_STACK  # more than one stack
+        cached = {}
+
+        def read_cache(objective, simplex, bounds):
+            cached.update((x, objective(x)) for x in grid)
+
+        def no_solve(*args):
+            raise AssertionError("a grid point was not cached")
+
+        monkeypatch.setattr(loading, "_nelder_mead", read_cache)
+        monkeypatch.setattr(loading, "harmonic_objective", no_solve)
+        _, used, _ = loading._grid_simplex_search(profile_at, bounds, 5, 200)
+        assert used == len(grid) == len(cached)
+        for x, value in cached.items():
+            expected = loading._search_value(harmonic_objective(profile_at(*x), 5), 5)
+            assert value.hex() == expected.hex()
+
+    def test_grid_stage_work(self, monkeypatch):
+        # Counts, not time: the 24 x 24 grid of a budget-2000 search, solved
+        # in stacks of _GRID_STACK profiles, takes 407 _propagate calls; one
+        # profile at a time it took 13,424.
+        from membrane_lab import membrane
+
+        calls = []
+        propagate, stack_objective = membrane._propagate, loading._stack_objective
+
+        def counted_propagate(*args):
+            calls[-1] += 1
+            return propagate(*args)
+
+        def counted_stack(profiles, overtones):
+            calls.append(0)
+            return stack_objective(profiles, overtones)
+
+        monkeypatch.setattr(membrane, "_propagate", counted_propagate)
+        monkeypatch.setattr(loading, "_stack_objective", counted_stack)
+        monkeypatch.setattr(loading, "_nelder_mead", lambda *args: None)
+        optimize_two_region(budget=2000)
+        assert len(calls) == math.ceil(24 * 24 / loading._GRID_STACK)
+        assert sum(calls) <= 450
 
     def test_budget_accounting_consistent(self, quick_result):
         assert quick_result.evaluations <= 260
@@ -264,7 +350,7 @@ class TestGraded:
             raise AssertionError("a solve ran before validation")
 
         monkeypatch.setattr(loading, "optimize_two_region", no_solve)
-        monkeypatch.setattr(loading, "harmonic_objective", no_solve)
+        stub_objective(monkeypatch, no_solve)
         with pytest.raises(ValueError, match=message):
             optimize_graded(budget=200, **kwargs)
 
@@ -285,6 +371,11 @@ class TestGraded:
 
 class TestApplyLayers:
     BASE = RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),))
+
+    @pytest.mark.parametrize("increment", [math.nan, math.inf, -math.inf, -0.1])
+    def test_step_rejects_bad_increment(self, increment):
+        with pytest.raises(ValueError, match="areal_density_increment"):
+            LayerStep(0.5, increment)
 
     def test_boundary_refinement(self):
         out = apply_layers(self.BASE, [LayerStep(0.3, 0.5)])
@@ -372,6 +463,11 @@ class TestSimulateLayers:
             simulate_layers(self.BASE, [LayerStep(0.4, 0.1)], stabilization=(0.0, 3))
         with pytest.raises(ValueError):
             simulate_layers(self.BASE, [LayerStep(0.4, 0.1)], stabilization=(0.01, 1))
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="finite epsilon"):
+            simulate_layers(self.BASE, [LayerStep(0.4, 0.1)] * 3, stabilization=(epsilon, 2))
 
     def test_solver_error_carries_layer_index(self):
         # a ceiling squeeze is hard to trigger here; instead check the wrap

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from membrane_lab import membrane
 from membrane_lab.bessel import bessel_zero
 from membrane_lab.errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
+from membrane_lab.loading import graded_profile
 from membrane_lab.membrane import (
     Mode,
     ModeTable,
@@ -39,7 +40,7 @@ def stub_solution(monkeypatch, residual, count):
     the mode count with count(f); returns the frequency arrays evaluated."""
     calls = []
 
-    def fake_propagate(profile, orders, freqs):
+    def fake_propagate(geometry, orders, freqs):
         calls.append(freqs)
         _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
         return [], freqs, residual(freqs)
@@ -294,12 +295,12 @@ class TestCompositeModes:
         received, points = [], []
         polish, propagate = membrane._polish, membrane._propagate
 
-        def counted_polish(profile, orders, *rest):
+        def counted_polish(geometry, orders, *rest):
             received.append(orders.size)
-            return polish(profile, orders, *rest)
+            return polish(geometry, orders, *rest)
 
-        def counted_propagate(profile, orders, freqs):
-            out = propagate(profile, orders, freqs)
+        def counted_propagate(geometry, orders, freqs):
+            out = propagate(geometry, orders, freqs)
             points.append(out[-1].size)
             return out
 
@@ -309,6 +310,58 @@ class TestCompositeModes:
         composite_modes(profile, 4, 4, default_ceiling(profile, 4, 4))
         assert received == [20]
         assert sum(points) < 1500
+
+
+def _hex_table(table):
+    return [(mo.m, mo.n, mo.frequency.hex(), mo.source_fingerprint) for mo in table]
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize(
+        "profiles, m_max, n_max",
+        [
+            (
+                [two_ring(f, r) for f in np.linspace(0.1, 0.7, 5) for r in np.linspace(1.0, 16.0, 5)],
+                4,
+                4,
+            ),
+            ([graded_profile(0.4, mass, 1.5, 16) for mass in (0.0, 0.3, 1.2, 4.0)], 4, 4),
+            (
+                [
+                    RadialDensityProfile(0.1, 2500.0, ((1.0, 0.26),)),
+                    RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),)),
+                    RadialDensityProfile(0.3, 9.0, ((1.0, 40.0),)),
+                ],
+                12,
+                3,
+            ),
+        ],
+        ids=["two-region-grid", "graded-16-rings", "single-ring"],
+    )
+    def test_stack_equals_lone_solves_bit_for_bit(self, profiles, m_max, n_max):
+        stacked = membrane._solve_stack(profiles, m_max, n_max, math.inf)
+        assert len(stacked) == len(profiles)
+        for profile, table in zip(profiles, stacked):
+            lone = composite_modes(profile, m_max, n_max, math.inf)
+            assert _hex_table(table) == _hex_table(lone)
+            assert table.profile_fingerprint == profile.fingerprint()
+
+    def test_stack_refuses_unequal_ring_counts(self):
+        profiles = [two_ring(0.4, 3.7), RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),))]
+        with pytest.raises(ValueError, match="equal ring count"):
+            membrane._solve_stack(profiles, 1, 1, math.inf)
+
+    def test_short_ceiling_names_the_profile_order_in_a_stack(self):
+        # Loading only lowers modes: the heavy head clears a ceiling between
+        # the unloaded head's m = 0 and m = 1 roots, and the unloaded head
+        # comes up short at m = 1.
+        heavy, light = two_ring(0.4, 30.0), two_ring(0.4, 1.0)
+        f = composite_modes(light, 1, 1, math.inf).frequencies
+        ceiling = 0.5 * (f[0] + f[1])
+        assert composite_modes(heavy, 1, 1, ceiling).frequencies.max() < ceiling
+        with pytest.raises(InsufficientCeiling) as exc:
+            membrane._solve_stack([heavy, light], 1, 1, ceiling)
+        assert (exc.value.azimuthal_order, exc.value.found) == (1, 0)
 
 
 class TestPolish:
@@ -337,7 +390,8 @@ class TestPolish:
     def test_converges_within_bisection_count(self, monkeypatch, residual):
         calls = stub_solution(monkeypatch, residual, None)
         lo, hi = np.array([1.0]), np.array([1.05])
-        root = membrane._polish(None, np.zeros(1), lo, hi, residual(lo), residual(hi))
+        geometry = np.ones((2, 1, 1))  # one ring, ignored by the stub
+        root = membrane._polish(geometry, np.zeros(1), lo, hi, residual(lo), residual(hi))
         assert abs(root[0] - 1.003) <= 1e-11 * 1.003
         assert len(calls) <= self.bisection_steps(residual, 1.0, 1.05) + membrane._POLISH_SLACK
 
@@ -360,9 +414,9 @@ class TestPolish:
         polished = []
         polish = membrane._polish
 
-        def counted(profile, orders, *rest):
+        def counted(geometry, orders, *rest):
             polished.append(orders.size)
-            return polish(profile, orders, *rest)
+            return polish(geometry, orders, *rest)
 
         monkeypatch.setattr(membrane, "_polish", counted)
         stub_solution(
@@ -412,7 +466,7 @@ class TestCountCertificate:
 
         # N_m is n - 1 just below root n and n just above it.
         for factor, expected in ((1.0 - 1e-9, n - 1), (1.0 + 1e-9, n)):
-            coeffs, ends, _ = membrane._propagate(profile, m, f * factor)
+            coeffs, ends, _ = membrane._propagate(membrane._ring_geometry([profile]), m, f * factor)
             assert np.array_equal(membrane._zero_count(m, coeffs, ends), expected)
 
         # Doubling one ring's density lowers every mode up to m = 2.  The
