@@ -187,8 +187,10 @@ def detect_peaks(
     Refinement fits a parabola to the log magnitudes of the three bins
     around each maximum (the Julius Smith qint scheme).
     """
-    if min_prominence_db < 3:
-        raise ValueError("min_prominence_db must be >= 3")
+    if not (min_prominence_db >= 3 and math.isfinite(min_prominence_db)):
+        raise ValueError("min_prominence_db must be finite and >= 3")
+    if max_peaks < 1:
+        raise ValueError("max_peaks must be >= 1")
     m = spectrum.magnitudes
     floor = float(np.median(m))
     if floor <= 0.0:

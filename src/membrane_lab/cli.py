@@ -17,6 +17,8 @@ from .analysis import analyze
 from .config import config_dir
 from .errors import MembraneLabError, SolverError
 from .loading import (
+    STABILIZATION_EPSILON,
+    STABILIZATION_WINDOW,
     LayerStep,
     optimize_graded,
     optimize_two_region,
@@ -102,17 +104,28 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _load_steps(path: str) -> tuple[list[LayerStep], float, int]:
+    """Layer steps, stabilization epsilon and window of a steps document."""
+    doc = json.loads(Path(path).read_text())
+    try:
+        steps = [LayerStep(float(s["r_frac"]), float(s["dsigma_kg_m2"])) for s in doc["steps"]]
+        stab = doc.get("stabilization", {})
+        epsilon = float(stab.get("epsilon", STABILIZATION_EPSILON))
+        window = int(stab.get("window", STABILIZATION_WINDOW))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed layer steps: {exc}") from exc
+    return steps, epsilon, window
+
+
 def _cmd_layers(args) -> int:
     profile = _load_profile_arg(args.profile)
-    doc = json.loads(Path(args.steps).read_text())
-    steps = [LayerStep(s["r_frac"], s["dsigma_kg_m2"]) for s in doc["steps"]]
-    stab = doc.get("stabilization", {})
+    steps, epsilon, window = _load_steps(args.steps)
     trace = simulate_layers(
         profile,
         steps,
         stabilization=(
-            args.epsilon if args.epsilon is not None else stab.get("epsilon", 0.002),
-            args.window if args.window is not None else stab.get("window", 3),
+            args.epsilon if args.epsilon is not None else epsilon,
+            args.window if args.window is not None else window,
         ),
     )
     if args.format == "json":

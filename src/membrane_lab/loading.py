@@ -9,14 +9,15 @@ is).  Both searches, two-region and graded, share one skeleton.
 
 Budget accounting: `evaluations` in a result is the number of distinct
 profiles solved; a revisited point is served from the search's cache and
-costs nothing.  The grid's points are all known before its first solve,
-so they are solved in stacks of profiles, one kernel call per solver step
-for the whole stack; the ledger is the same as for one solve at a time.  The budget caps new solves, and `budget_exhausted` is set
-exactly when the cap stopped the search, which may happen in the grid or
-in the simplex.  Otherwise the simplex stops once its vertices agree
-within 1e-9 in every coordinate and their values within 1e-12 (or, as a
-backstop, after 400 iterations).  The answer is the best point over
-everything evaluated, grid included.
+costs nothing.  Every solve, grid and simplex alike, goes through one
+ledger that solves the new points of a call in stacks of profiles, one
+kernel call per solver step for the whole stack.  The budget caps new
+solves, and `budget_exhausted` is set exactly when the cap stopped the
+search, which may happen in the grid or in the simplex.  Otherwise the
+simplex stops once its vertices agree within 1e-9 in every coordinate and
+their values within 1e-12 (or, as a backstop, after 400 iterations).  The
+answer is the best point over everything evaluated, grid included, and
+its assessment is the one the search computed: no answer is solved twice.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .membrane import (
 )
 
 GRID_POINTS = 24
-# Profiles per stacked grid solve: the whole 24 x 24 grid in one stack runs
+# Profiles per stacked solve: the whole 24 x 24 grid in one stack runs
 # no faster and holds ~8 MB more at its peak.
 _GRID_STACK = 64
 DEFAULT_FRACTION_BOUNDS = (0.1, 0.7)
@@ -155,20 +156,17 @@ def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> Harmoni
     that degenerate partners collapse exactly, which a radial loading
     cannot do and the instrument does not need.
     """
-    return _window_score(composite_modes(profile, _OBJ_M_MAX, _OBJ_N_MAX, math.inf), overtones)
+    return _stack_objective([profile], overtones)[0]
 
 
 def _stack_objective(profiles, overtones: int) -> list[HarmonicAssessment]:
     """harmonic_objective of each profile, all solved as one stack."""
-    tables = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf)
-    return [_window_score(table, overtones) for table in tables]
-
-
-def _window_score(table: ModeTable, overtones: int) -> HarmonicAssessment:
-    freqs = table.frequencies
-    f0_estimate = freqs[1] / 2.0
-    window = freqs[freqs <= (overtones + 1.55) * f0_estimate]
-    return harmonicity_score(window, max_overtone=overtones + 1)
+    assessments = []
+    for table in _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf):
+        freqs = table.frequencies
+        window = freqs[freqs <= (overtones + 1.55) * freqs[1] / 2.0]
+        assessments.append(harmonicity_score(window, max_overtone=overtones + 1))
+    return assessments
 
 
 def _grid_side(budget: int) -> int:
@@ -177,8 +175,9 @@ def _grid_side(budget: int) -> int:
 
 
 def _select_best(evaluated) -> tuple:
-    """Best (value, x1, x2) triple; ties break lexicographically on (x1, x2),
-    so any evaluation order (including concurrent) selects the same point."""
+    """Best (value, x1, x2, ...) tuple; ties break lexicographically on
+    (x1, x2), so any evaluation order (including concurrent) selects the
+    same point."""
     return min(evaluated, key=lambda t: (t[0], t[1], t[2]))
 
 
@@ -243,53 +242,50 @@ def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=
 
     Evaluates the points in `first`, then a _grid_side(budget)^2 grid, then
     refines from the best point so far with _nelder_mead, its initial
-    simplex one grid spacing long on each axis.  The cache of solved points
-    is the budget's ledger: revisits are free, and the search stops when a
-    new solve would exceed `budget`.  The first and grid points are all
-    known up front, so the distinct ones within the budget are solved in
-    stacks of _GRID_STACK profiles; the simplex solves one point at a time.
+    simplex one grid spacing long on each axis.  Every point goes through
+    one ledger, `solve`: it drops repeats and cached points, solves the new
+    ones that fit in the budget in stacks of _GRID_STACK profiles, and
+    stops the search when a new point did not fit.  The first and grid
+    points are one call; each simplex point is a stack of one.
 
-    Returns (x, distinct solves, budget exhausted), where x is the
-    _select_best point over everything evaluated.
+    Returns (x, assessment, distinct solves, budget exhausted), where x is
+    the _select_best point over everything evaluated and assessment its
+    harmonic_objective.
     """
     cache: dict[tuple[float, float], float] = {}
+    best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, assessment)
 
-    def objective(x) -> float:
-        key = (float(x[0]), float(x[1]))
-        if key not in cache:
-            if len(cache) >= budget:
-                raise _BudgetSpent
-            assessment = harmonic_objective(profile_at(*key), overtones)
-            cache[key] = _search_value(assessment, overtones)
-        return cache[key]
-
-    def best() -> tuple[float, float]:
-        return _select_best((v, *k) for k, v in cache.items())[1:]
+    def solve(points) -> list[float]:
+        nonlocal best
+        keys = [(float(a), float(b)) for a, b in points]
+        new = [k for k in dict.fromkeys(keys) if k not in cache]
+        fits = new[: budget - len(cache)]
+        for start in range(0, len(fits), _GRID_STACK):
+            stack = fits[start : start + _GRID_STACK]
+            assessments = _stack_objective([profile_at(*k) for k in stack], overtones)
+            for k, assessment in zip(stack, assessments):
+                cache[k] = _search_value(assessment, overtones)
+                best = _select_best([best, (cache[k], *k, assessment)])
+        if len(fits) < len(new):
+            raise _BudgetSpent
+        return [cache[k] for k in keys]
 
     side = _grid_side(budget)
     axes = [np.linspace(lo, hi, side) for lo, hi in bounds]
-    points = [*first, *itertools.product(*axes)]
-    points = list(dict.fromkeys((float(a), float(b)) for a, b in points))
-    exhausted = len(points) > budget
-    points = points[:budget]
-    for start in range(0, len(points), _GRID_STACK):
-        stack = points[start : start + _GRID_STACK]
-        assessments = _stack_objective([profile_at(*x) for x in stack], overtones)
-        for x, assessment in zip(stack, assessments):
-            cache[x] = _search_value(assessment, overtones)
-    if not exhausted:
-        x0 = np.array(best())
+    exhausted = False
+    try:
+        solve([*first, *itertools.product(*axes)])
+        x0 = np.array(best[1:3])
         simplex = [x0]
         for i, ((_, hi), axis) in enumerate(zip(bounds, axes)):
             step = axis[1] - axis[0]
             vertex = x0.copy()
             vertex[i] += step if vertex[i] + step <= hi else -step
             simplex.append(vertex)
-        try:
-            _nelder_mead(objective, simplex, bounds)
-        except _BudgetSpent:
-            exhausted = True
-    return best(), len(cache), exhausted
+        _nelder_mead(lambda x: solve([x])[0], simplex, bounds)
+    except _BudgetSpent:
+        exhausted = True
+    return best[1:3], best[3], len(cache), exhausted
 
 
 def _check_rings(rings: int) -> None:
@@ -326,18 +322,17 @@ def optimize_two_region(
         raise ValueError("ratio bounds must lie within [1, 50]")
     _check_search(overtones, budget)
 
-    x, evaluations, exhausted = _grid_simplex_search(
+    x, assessment, evaluations, exhausted = _grid_simplex_search(
         lambda f, r: TwoRegionCandidate(f, r).to_profile(radius, tension, field_density),
         (fraction_bounds, ratio_bounds),
         overtones,
         budget,
     )
     candidate = TwoRegionCandidate(*x)
-    profile = candidate.to_profile(radius, tension, field_density)
     return OptimizationResult(
         candidate=candidate,
-        profile=profile,
-        assessment=harmonic_objective(profile, overtones),
+        profile=candidate.to_profile(radius, tension, field_density),
+        assessment=assessment,
         evaluations=evaluations,
         budget_exhausted=exhausted,
         seed=seed,
@@ -433,20 +428,19 @@ def optimize_graded(
     taper_bounds = (0.0, 4.0)
 
     # the exact two-region equivalent is always evaluated first
-    x, evaluations, exhausted = _grid_simplex_search(
+    x, assessment, evaluations, exhausted = _grid_simplex_search(
         lambda m, t: graded_profile(a, m, t, rings, radius, tension, field_density),
         (mass_bounds, taper_bounds),
         overtones,
         budget,
         first=[(seed_mass, 0.0)],
     )
-    profile = graded_profile(a, x[0], x[1], rings, radius, tension, field_density)
     return GradedResult(
-        profile=profile,
+        profile=graded_profile(a, x[0], x[1], rings, radius, tension, field_density),
         patch_fraction=a,
         added_mass=x[0],
         taper_exponent=x[1],
-        assessment=harmonic_objective(profile, overtones),
+        assessment=assessment,
         evaluations=evaluations,
         budget_exhausted=exhausted,
         seed=seed,

@@ -45,6 +45,8 @@ class Excitation:
             raise ValueError("amplitude must be finite and >= 0")
         if not (self.decay_constant >= 0.0 and math.isfinite(self.decay_constant)):
             raise ValueError("decay_constant must be finite and >= 0")
+        if not (math.isfinite(self.phase) and math.isfinite(self.glide_frac_per_s)):
+            raise ValueError("phase and glide_frac_per_s must be finite")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class NoiseBurst:
     duration: float
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.duration < 0:
-            raise ValueError("noise burst amplitude and duration must be >= 0")
+        if not all(v >= 0.0 and math.isfinite(v) for v in (self.amplitude, self.duration)):
+            raise ValueError("noise burst amplitude and duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class StrokeTemplate:
             noise = doc.get("noise")
             burst = NoiseBurst(float(noise["amp"]), float(noise["dur_s"])) if noise else None
             return cls(doc["name"], excitations, burst)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed stroke template: {exc}") from exc
 
     def dumps(self) -> str:

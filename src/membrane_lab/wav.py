@@ -20,8 +20,9 @@ def write_wav(waveform, sample_rate: int, path) -> None:
     samples = np.asarray(waveform, dtype=float)
     if samples.ndim != 1:
         raise UnsupportedFormat("only mono (1-D) waveforms are written")
-    if samples.size and (np.max(samples) > 1.0 or np.min(samples) < -1.0):
-        raise ValueError("waveform samples must lie in [-1, 1]")
+    # written as a negation so that NaN, which fails every comparison, is refused
+    if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
+        raise ValueError("waveform samples must be finite and lie in [-1, 1]")
     pcm = np.round(samples * _FULL_SCALE).astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)

@@ -118,6 +118,18 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             detect_peaks(s, 2.0)
 
+    @pytest.mark.parametrize("prominence", [math.nan, math.inf])
+    def test_non_finite_prominence_rejected(self, prominence):
+        s = compute_spectrum(sine(440.0), FS, 4096)
+        with pytest.raises(ValueError, match="min_prominence_db must be finite"):
+            detect_peaks(s, prominence)
+
+    @pytest.mark.parametrize("max_peaks", [0, -1])
+    def test_max_peaks_below_one_rejected(self, max_peaks):
+        s = compute_spectrum(sine(440.0), FS, 4096)
+        with pytest.raises(ValueError, match="max_peaks must be >= 1"):
+            detect_peaks(s, 12.0, max_peaks)
+
     def test_sorted_by_magnitude_and_truncated(self):
         x = sine(300.0) + 0.5 * sine(700.0) + 0.25 * sine(1100.0)
         peaks = detect_peaks(compute_spectrum(x, FS, 16384), 12.0, 2)

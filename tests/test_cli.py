@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +107,123 @@ class TestUsageAndDataErrors:
         fake = tmp_path / "fake.wav"
         fake.write_bytes(b"not audio")
         assert run("analyze", str(fake)) == 2
+
+
+TEMPLATE = {
+    "name": "ta",
+    "excitations": [
+        {"mode": 1, "amp": 1.0, "lambda_s": 9.0, "phase": 0.25, "glide_frac_per_s": 0.01},
+    ],
+    "noise": {"amp": 0.3, "dur_s": 0.02},
+}
+STEPS = {
+    "stabilization": {"epsilon": 0.002, "window": 2},
+    "steps": [{"r_frac": 0.39, "dsigma_kg_m2": 0.1}, {"r_frac": 0.2, "dsigma_kg_m2": 0.05}],
+}
+# One value of each kind a hand-edited JSON document can hold by mistake.
+MUTANTS = {"nan": math.nan, "inf": math.inf, "null": None, "string": "x", "negative": -1}
+
+
+def leaf_paths(doc, prefix=()):
+    """Key paths of every value in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture
+def table_path(tmp_path):
+    """A solved-free synth source: the 100 Hz reference mode table."""
+    import membrane_lab._jsonfmt as jf
+    from membrane_lab.synth import reference_mode_table
+
+    path = tmp_path / "table.json"
+    path.write_text(jf.dumps(reference_mode_table(100.0).to_json_dict()))
+    return path
+
+
+def synth_template(tmp_path, table_path, template):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(template))
+    return run(
+        "synth", str(table_path), str(path), "-o", str(tmp_path / "x.wav"),
+        "--duration", "0.2",
+    )
+
+
+def layers_steps(tmp_path, steps):
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(steps))
+    return run("layers", str(DATA / "uniform_profile.json"), str(path))
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "noise", [{"amp": math.nan, "dur_s": 0.02}, {"amp": 0.3, "dur_s": math.inf}],
+        ids=["amp-nan", "dur-inf"],
+    )
+    def test_non_finite_noise_is_data_error(self, tmp_path, table_path, capsys, noise):
+        assert synth_template(tmp_path, table_path, {**TEMPLATE, "noise": noise}) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: ")
+        assert not (tmp_path / "x.wav").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-peaks", "-1"), "max_peaks must be >= 1"),
+            (("--max-peaks", "0"), "max_peaks must be >= 1"),
+            (("--min-prominence", "nan"), "min_prominence_db must be finite"),
+        ],
+        ids=["max-peaks-negative", "max-peaks-zero", "prominence-nan"],
+    )
+    def test_bad_peak_limits_are_data_error(self, tmp_path, table_path, capsys, flags, message):
+        assert synth_template(tmp_path, table_path, TEMPLATE) == 0
+        assert run("analyze", str(tmp_path / "x.wav"), *flags) == 2
+        assert capsys.readouterr().err.startswith(f"membrane-lab: {message}")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("steps", 0, "dsigma_kg_m2"), "abc"),
+            (("steps", 0, "r_frac"), None),
+            (("stabilization", "window"), "x"),
+            (("stabilization", "epsilon"), "x"),
+            (("stabilization", "window"), math.inf),
+            (("stabilization",), "x"),
+        ],
+        ids=["dsigma-string", "r_frac-null", "window-string", "epsilon-string",
+             "window-inf", "stabilization-string"],
+    )
+    def test_malformed_steps_are_data_error(self, tmp_path, capsys, path, value):
+        assert layers_steps(tmp_path, mutated(STEPS, path, value)) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @pytest.mark.parametrize("path", list(leaf_paths(TEMPLATE)), ids=lambda p: ".".join(map(str, p)))
+    def test_fuzzed_template_maps_to_an_exit_code(self, tmp_path, table_path, capsys, path, kind):
+        code = synth_template(tmp_path, table_path, mutated(TEMPLATE, path, MUTANTS[kind]))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @pytest.mark.parametrize("path", list(leaf_paths(STEPS)), ids=lambda p: ".".join(map(str, p)))
+    def test_fuzzed_steps_map_to_an_exit_code(self, tmp_path, capsys, path, kind):
+        code = layers_steps(tmp_path, mutated(STEPS, path, MUTANTS[kind]))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert capsys.readouterr().err.startswith("membrane-lab: ")
 
 
 class TestSynthAnalyzeRoundTrip:

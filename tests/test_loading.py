@@ -34,12 +34,34 @@ def _quadratic_assessment(x, overtones):
 
 def stub_objective(monkeypatch, objective):
     """Replace the search's objective with objective(profile, overtones),
-    both for the grid's stacks and for the simplex's single points."""
-    monkeypatch.setattr(loading, "harmonic_objective", objective)
+    applied to each profile of a stack."""
     monkeypatch.setattr(
         loading,
         "_stack_objective",
         lambda profiles, overtones: [objective(p, overtones) for p in profiles],
+    )
+
+
+def count_solves(monkeypatch) -> list:
+    """Wrap the search's objective; the list gets the rings of every
+    profile solved."""
+    solved = []
+    stack_objective = loading._stack_objective
+
+    def counted_stack(profiles, overtones):
+        solved.extend(p.rings for p in profiles)
+        return stack_objective(profiles, overtones)
+
+    monkeypatch.setattr(loading, "_stack_objective", counted_stack)
+    return solved
+
+
+def assessment_hex(a: HarmonicAssessment) -> tuple:
+    return (
+        a.score.hex(),
+        a.fundamental_shift.hex(),
+        a.implied_fundamental.hex(),
+        tuple(e.ratio.hex() for e in a.assigned_ratios),
     )
 
 
@@ -132,7 +154,7 @@ class TestOptimizer:
         # a 6 x 6 grid: budget 15 runs out in the grid, budget 40 in the simplex
         stub_objective(monkeypatch, _quadratic_assessment)
         for budget in (15, 40):
-            _, used, exhausted = loading._grid_simplex_search(
+            _, _, used, exhausted = loading._grid_simplex_search(
                 lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, budget
             )
             assert exhausted
@@ -140,7 +162,7 @@ class TestOptimizer:
 
     def test_simplex_stops_on_tolerance_within_budget(self, monkeypatch):
         stub_objective(monkeypatch, _quadratic_assessment)
-        x, used, exhausted = loading._grid_simplex_search(
+        x, _, used, exhausted = loading._grid_simplex_search(
             lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, 1000
         )
         assert not exhausted
@@ -179,21 +201,11 @@ class TestOptimizer:
         assert ours == theirs
 
     def test_evaluations_count_distinct_solves(self, monkeypatch):
-        solved = []
-        stack_objective = loading._stack_objective
-
-        def counted(profile, overtones):
-            solved.append(profile.rings)
-            return harmonic_objective(profile, overtones)
-
-        def counted_stack(profiles, overtones):
-            solved.extend(p.rings for p in profiles)
-            return stack_objective(profiles, overtones)
-
-        monkeypatch.setattr(loading, "harmonic_objective", counted)
-        monkeypatch.setattr(loading, "_stack_objective", counted_stack)
+        # Every profile solved is a distinct point of the budget's ledger:
+        # none is solved twice, the reported answer included.
+        solved = count_solves(monkeypatch)
         res = optimize_two_region(budget=200, seed=42)
-        assert res.evaluations == len(set(solved))
+        assert res.evaluations == len(solved) == len(set(solved))
         assert res.budget_exhausted == (res.evaluations == 200)
 
     def test_first_points_repeating_the_grid_are_solved_once(self, monkeypatch):
@@ -205,7 +217,7 @@ class TestOptimizer:
 
         stub_objective(monkeypatch, counted)
         first = [(0.0, 1.0), (0.5, 5.0), (0.5, 5.0)]  # a grid corner, then a repeat
-        _, used, exhausted = loading._grid_simplex_search(
+        _, _, used, exhausted = loading._grid_simplex_search(
             lambda a, b: (a, b), ((0.0, 1.0), (1.0, 10.0)), 5, 37, first=first
         )
         axes = (np.linspace(0.0, 1.0, 6), np.linspace(1.0, 10.0, 6))
@@ -227,14 +239,15 @@ class TestOptimizer:
         cached = {}
 
         def read_cache(objective, simplex, bounds):
+            monkeypatch.setattr(loading, "_stack_objective", no_solve)
             cached.update((x, objective(x)) for x in grid)
 
         def no_solve(*args):
             raise AssertionError("a grid point was not cached")
 
         monkeypatch.setattr(loading, "_nelder_mead", read_cache)
-        monkeypatch.setattr(loading, "harmonic_objective", no_solve)
-        _, used, _ = loading._grid_simplex_search(profile_at, bounds, 5, 200)
+        _, _, used, _ = loading._grid_simplex_search(profile_at, bounds, 5, 200)
+        monkeypatch.undo()
         assert used == len(grid) == len(cached)
         for x, value in cached.items():
             expected = loading._search_value(harmonic_objective(profile_at(*x), 5), 5)
@@ -353,6 +366,19 @@ class TestGraded:
         stub_objective(monkeypatch, no_solve)
         with pytest.raises(ValueError, match=message):
             optimize_graded(budget=200, **kwargs)
+
+    def test_seeded_graded_solves_only_its_evaluations(self, monkeypatch, quick_result):
+        solved = count_solves(monkeypatch)
+        res = optimize_graded(
+            rings=4, budget=200, seed=42, two_region_seed=quick_result.candidate
+        )
+        assert len(solved) == res.evaluations
+
+    def test_graded_with_its_own_seed_search_solves_each_profile_once(self, monkeypatch):
+        seed_evaluations = optimize_two_region(budget=200, seed=42).evaluations
+        solved = count_solves(monkeypatch)
+        res = optimize_graded(rings=4, budget=200, seed=42, seed_budget=200)
+        assert len(solved) == seed_evaluations + res.evaluations
 
     def test_graded_report_shape(self, graded_result):
         doc = graded_result.to_json_dict()
@@ -486,3 +512,12 @@ class TestSimulateLayers:
                 simulate_layers(self.BASE, steps)
         finally:
             loading_mod.composite_modes = original
+
+
+@pytest.mark.parametrize("which", ["two_region", "graded"])
+def test_reported_assessment_is_the_profiles_own(which, quick_result, graded_result):
+    # The search reports the assessment it computed for its best point; it
+    # must be exactly what a fresh solve of the reported profile gives.
+    result = quick_result if which == "two_region" else graded_result
+    fresh = harmonic_objective(result.profile, 5)
+    assert assessment_hex(result.assessment) == assessment_hex(fresh)

@@ -153,6 +153,36 @@ class TestRenderSpecValidation:
             RenderSpec(**{field: value})
 
 
+class TestConstructorsRejectNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["phase", "glide_frac_per_s"])
+    def test_excitation(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            Excitation(0, 1.0, 1.0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "amplitude, duration",
+        [(math.nan, 0.05), (math.inf, 0.05), (0.5, math.nan), (0.5, math.inf), (-0.1, 0.05)],
+    )
+    def test_noise_burst(self, amplitude, duration):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            NoiseBurst(amplitude, duration)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": "ta", "excitations": [{"mode": math.inf, "amp": 1.0, "lambda_s": 1.0}]},
+            {"name": "ta", "noise": {"amp": math.nan, "dur_s": 0.05}},
+            {"name": "ta", "noise": {"amp": 0.5, "dur_s": math.inf}},
+            ["not", "a", "template"],
+        ],
+        ids=["mode-inf", "noise-amp-nan", "noise-dur-inf", "list"],
+    )
+    def test_from_json_dict_raises_value_error(self, doc):
+        with pytest.raises(ValueError):
+            StrokeTemplate.from_json_dict(doc)
+
+
 class TestTemplates:
     def test_needs_content(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_wav(np.array([0.0, 1.2]), 44100, tmp_path / "x.wav")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match="finite"):
+            write_wav(np.array([0.0, bad, 0.5]), 44100, path)
+        assert not path.exists()
+
 
 class TestHeaderBytes:
     def test_canonical_header_fields(self, tmp_path):
