@@ -2,7 +2,8 @@
 
 The stock json module prints floats via repr, which is faithful but noisy
 and couples goldens to platform quirks; reports want stable bytes for
-diffing and regression pinning instead.
+diffing and regression pinning instead.  On the way in, counts read from
+a document go through integral, which refuses what int() would truncate.
 """
 
 from __future__ import annotations
@@ -64,6 +65,17 @@ def _escape(text: str) -> str:
             out.append(ch)
     out.append("\"")
     return "".join(out)
+
+
+def integral(value, name: str) -> int:
+    """A count read from a JSON document: an integer, or a float with no
+    fractional part (2.0 is 2); 2.9, NaN, booleans and strings raise
+    ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def dumps(value, indent: int = 2) -> str:

@@ -60,7 +60,7 @@ def _load_profile_arg(path: str) -> RadialDensityProfile:
 def _load_table_source(path: str, m_max: int, n_max: int, f_ceiling: float):
     """A modes source is either a density profile or a serialised table."""
     doc = json.loads(Path(path).read_text())
-    if "modes" in doc:
+    if isinstance(doc, dict) and "modes" in doc:
         return ModeTable.from_json_dict(doc)
     return composite_modes(RadialDensityProfile.from_json_dict(doc), m_max, n_max, f_ceiling)
 
@@ -111,7 +111,7 @@ def _load_steps(path: str) -> tuple[list[LayerStep], float, int]:
         steps = [LayerStep(float(s["r_frac"]), float(s["dsigma_kg_m2"])) for s in doc["steps"]]
         stab = doc.get("stabilization", {})
         epsilon = float(stab.get("epsilon", STABILIZATION_EPSILON))
-        window = int(stab.get("window", STABILIZATION_WINDOW))
+        window = _jsonfmt.integral(stab.get("window", STABILIZATION_WINDOW), "stabilization window")
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed layer steps: {exc}") from exc
     return steps, epsilon, window

@@ -18,8 +18,9 @@ mode_shape; it reads each point's ring geometry, so one call can serve a
 stack of profiles with equal ring counts (_solve_stack, of which
 composite_modes is the one-profile case).  Slopes come from the recurrence
 f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each boundary needs J
-and Y at orders m and m-1 only; orders are integers, so Y comes from
-scipy's integer-order special.yn.
+and Y at orders m and m-1 only; orders are integers, so one call of
+bessel.integer_jy, an upward ladder of the order recurrence, gives them at
+every ring end of every point.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero
-from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
+from ._jsonfmt import integral
+from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero, integer_jy
+from .errors import ConvergenceError, DomainError, InsufficientCeiling, ProfileMismatch
 
 BISECT_RTOL = 1e-11
 BISECT_CAP = 200
@@ -98,7 +100,7 @@ class RadialDensityProfile:
         try:
             rings = tuple((r["r_frac"], r["sigma_kg_m2"]) for r in doc["rings"])
             return cls(doc["radius_m"], doc["tension_n_per_m"], rings)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed profile document: {exc}") from exc
 
     def dumps(self) -> str:
@@ -164,11 +166,15 @@ class ModeTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModeTable":
-        fp = doc.get("profile_fingerprint", "")
-        modes = tuple(
-            Mode(int(e["m"]), int(e["n"]), float(e["frequency_hz"]), fp)
-            for e in doc["modes"]
-        )
+        try:
+            fp = doc.get("profile_fingerprint", "")
+            modes = tuple(
+                Mode(integral(e["m"], "mode m"), integral(e["n"], "mode n"),
+                     float(e["frequency_hz"]), fp)
+                for e in doc["modes"]
+            )
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed mode table document: {exc}") from exc
         return cls(fp, modes)
 
 
@@ -212,10 +218,11 @@ def _propagate(geometry, orders, freqs):
     """Carry the regular solution outward across every ring boundary.
 
     geometry is (edges, slownesses) as _ring_geometry gives them, one row
-    per ring; each row broadcasts against the points, as orders do against
-    frequencies, so one call evaluates points from every order and every
-    profile of a stack at once.  Ring i holds u = S_i (A_i J_m(k_i r) +
-    B_i Y_m(k_i r)) with A_1 = S_1 = 1, B_1 = 0.
+    per ring; each row broadcasts against the frequencies to the shape of
+    the points, and orders broadcast to that shape, so one call evaluates
+    points from every order and every profile of a stack at once.  Ring i
+    holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1,
+    B_1 = 0.
     Returns (coeffs, ends, D): coeffs[i] = (A_i, B_i, S_i); ends[i] pairs
     the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius, x = k_i r
     and u the displacement up to a positive factor, for _zero_count (ring
@@ -230,44 +237,36 @@ def _propagate(geometry, orders, freqs):
     factor max(|A|, |B|), folded into S, which keeps the sign of u and D
     and the phase of (A, B).
     """
-    from scipy import special
-
-    m, freqs = np.broadcast_arrays(np.asarray(orders, dtype=float), np.asarray(freqs, dtype=float))
     edges, slowness = geometry
-    ks = [2.0 * math.pi * freqs * s for s in slowness]
+    ks = 2.0 * math.pi * freqs * slowness
+    # Every ring-end argument: row i is k_i r_i (row N - 1 the rim), row
+    # N + i is k_{i+1} r_i; one ladder evaluates them all.
+    last = len(ks) - 1
+    x = np.concatenate([ks * edges, ks[1:] * edges[:-1]])
+    j, y, j1, y1 = integer_jy(orders, x)
 
-    A = np.ones_like(freqs)
-    B = np.zeros_like(freqs)
-    S = np.ones_like(freqs)
+    A, B, S = 1.0, 0.0, 1.0
     coeffs = [(A, B, S)]
     ends, inner = [], None
-    for i in range(len(ks) - 1):
-        rb = edges[i]
-        xl = ks[i] * rb
-        xr = ks[i + 1] * rb
-        jl, yl = special.jv(m, xl), special.yn(m, xl)
-        u = A * jl
-        w = A * special.jv(m - 1, xl)
-        if i > 0:  # no Y term in the first ring
-            u = u + B * yl
-            w = w + B * special.yn(m - 1, xl)
-        ends.append((inner, (xl, jl, yl, u)))
+    for i in range(last):
+        # No Y term in the first ring.
+        u = A * j[i] + B * y[i] if i else j[i]
+        w = A * j1[i] + B * y1[i] if i else j1[i]
+        ends.append((inner, (x[i], j[i], y[i], u)))
         w = ks[i] * w
-        half_pi_rb = 0.5 * math.pi * rb
-        jr, yr = special.jv(m, xr), special.yn(m, xr)
-        inner = (xr, jr, yr, u)
-        A = half_pi_rb * (ks[i + 1] * special.yn(m - 1, xr) * u - yr * w)
-        B = half_pi_rb * (jr * w - ks[i + 1] * special.jv(m - 1, xr) * u)
+        half_pi_rb = 0.5 * math.pi * edges[i]
+        r = last + 1 + i
+        inner = (x[r], j[r], y[r], u)
+        A = half_pi_rb * (ks[i + 1] * y1[r] * u - y[r] * w)
+        B = half_pi_rb * (j[r] * w - ks[i + 1] * j1[r] * u)
         scale = np.maximum(np.abs(A), np.abs(B))
         scale = np.where(scale > 0.0, scale, 1.0)
         A = A / scale
         B = B / scale
         S = S * scale
         coeffs.append((A, B, S))
-    last = ks[-1] * edges[-1]
-    j_rim, y_rim = special.jv(m, last), special.yn(m, last)
-    D = A * j_rim + B * y_rim
-    ends.append((inner, (last, j_rim, y_rim, D)))
+    D = A * j[last] + B * y[last]
+    ends.append((inner, (x[last], j[last], y[last], D)))
     return coeffs, ends, D
 
 
@@ -476,6 +475,8 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
     """
     if samples < 64:
         raise ValueError("samples must be >= 64")
+    if not 0 <= mode.m <= MAX_ORDER:
+        raise DomainError(f"mode order m must be in [0, {MAX_ORDER}], got {mode.m}")
     fp = profile.fingerprint()
     if mode.source_fingerprint != fp:
         raise ProfileMismatch(

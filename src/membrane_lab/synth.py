@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._jsonfmt import integral
 from .errors import IndexOutOfRange, NyquistViolation
 from .membrane import Mode, ModeTable
 
@@ -95,7 +96,7 @@ class StrokeTemplate:
         try:
             excitations = tuple(
                 Excitation(
-                    int(e["mode"]),
+                    integral(e["mode"], "excitation mode"),
                     float(e["amp"]),
                     float(e["lambda_s"]),
                     float(e.get("phase", 0.0)),

@@ -6,7 +6,7 @@ import pytest
 
 from scipy import special
 
-from membrane_lab.bessel import bessel_j, bessel_y, bessel_zero
+from membrane_lab.bessel import MAX_ORDER, bessel_j, bessel_y, bessel_zero, integer_jy
 from membrane_lab.errors import DomainError
 
 from oracles import bisect_root, j0_series, y0_series
@@ -104,8 +104,8 @@ class TestBesselY:
             bessel_y(0, -1.0)
 
     def test_integer_order_yn_matches_yv(self):
-        # bessel_y and the transfer-matrix kernel take Y from the cephes
-        # integer-order yn, order -1 included; pin it to AMOS's yv.
+        # The reference the kernel's Y was pinned to before the ladder: the
+        # cephes integer-order yn, order -1 included, against AMOS's yv.
         rng = np.random.default_rng(5)
         x = np.concatenate([np.geomspace(1e-3, 100.0, 2000), rng.uniform(1e-3, 100.0, 20000)])
         assert np.array_equal(special.yn(-1, x), -special.y1(x))
@@ -113,6 +113,70 @@ class TestBesselY:
             ref = special.yv(order, x)
             gap = np.abs(special.yn(order, x) - ref) / np.maximum(1.0, np.abs(ref))
             assert gap.max() < 1e-14
+
+
+def ladder_points(order):
+    """x in [1e-4, 2000], log-spaced and uniform, with points just below, at
+    and just above the seam x = order > 0, where the ladder hands J to jv."""
+    rng = np.random.default_rng(order)
+    seam = [order * (1.0 + d) for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+    seam += [np.nextafter(float(order), 0.0), np.nextafter(float(order), 3000.0)]
+    return np.concatenate([
+        np.geomspace(1e-4, 2000.0, 4000),
+        rng.uniform(1e-4, 30.0, 20000),
+        rng.uniform(30.0, 2000.0, 6000),
+        np.array(seam if order else []),
+    ])
+
+
+class TestIntegerLadder:
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_agrees_with_scipy_per_order(self, order):
+        # Error as a fraction of the modulus M = |J + iY|, the scale the
+        # kernel's phases and crossings see; J, the minimal solution, also
+        # absolutely.  Measured: J 8.3e-14 of M, 2.1e-15 absolute; Y 8.3e-14
+        # of M against AMOS yv (2.4e-15 against cephes yn).
+        x = ladder_points(order)
+        j, y, j_below, y_below = integer_jy(order, x)
+        for got_j, got_y, m in ((j, y, order), (j_below, y_below, order - 1)):
+            ref_j, ref_y = special.jv(m, x), special.yv(m, x)
+            modulus = np.hypot(ref_j, ref_y)
+            assert np.max(np.abs(got_j - ref_j) / modulus) < 2e-13
+            assert np.max(np.abs(got_j - ref_j)) < 5e-15
+            assert np.max(np.abs(got_y - ref_y) / modulus) < 2e-13
+
+    def test_j_comes_from_jv_exactly_where_x_is_at_most_m(self):
+        orders = np.repeat(np.arange(MAX_ORDER + 1), 7)
+        x = orders + np.tile([-0.5, -1e-9, 0.0, 1e-9, 0.5, 2.0, 40.0], MAX_ORDER + 1)
+        x = np.maximum(x, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            j, _, j_below, _ = integer_jy(orders, x)
+        low = x <= orders
+        assert np.array_equal(j[low], special.jv(orders[low], x[low]))
+        assert np.array_equal(j_below[low], special.jv(orders[low] - 1, x[low]))
+
+    def test_order_minus_one_is_minus_order_one(self):
+        x = np.geomspace(1e-3, 100.0, 500)
+        j, y, j_below, y_below = integer_jy(0, x)
+        assert np.array_equal(j_below, -special.j1(x))
+        assert np.array_equal(y_below, -special.y1(x))
+        assert np.array_equal(j, special.j0(x))
+
+    def test_each_point_is_independent_of_its_neighbours(self):
+        # Stacking points into one call never changes a point's values: the
+        # ladder's height and the jv subset follow the call, not the point.
+        rng = np.random.default_rng(3)
+        orders = rng.integers(0, MAX_ORDER + 1, 300)
+        x = rng.uniform(1e-3, 40.0, 300)
+        stacked = integer_jy(orders, x)
+        for k in range(0, 300, 37):
+            assert np.array_equal(integer_jy(orders[k], x[k]), stacked[:, k])
+
+    def test_orders_broadcast_to_the_shape_of_x(self):
+        x = np.array([[0.5, 3.0, 9.0], [1.5, 6.0, 12.0]])
+        got = integer_jy(np.array([0, 2, 5]), x)
+        assert got.shape == (4, 2, 3)
+        assert np.array_equal(got[:, 1, 2], integer_jy(5, 12.0))
 
 
 class TestBesselZero:

@@ -120,6 +120,16 @@ STEPS = {
     "stabilization": {"epsilon": 0.002, "window": 2},
     "steps": [{"r_frac": 0.39, "dsigma_kg_m2": 0.1}, {"r_frac": 0.2, "dsigma_kg_m2": 0.05}],
 }
+PROFILE = json.loads((DATA / "default_profile.json").read_text())
+# The template above rings mode 1 of this table.
+TABLE = {
+    "profile_fingerprint": "three-modes",
+    "modes": [
+        {"m": 0, "n": 1, "frequency_hz": 100.0},
+        {"m": 1, "n": 1, "frequency_hz": 159.0},
+        {"m": 2, "n": 1, "frequency_hz": 213.0},
+    ],
+}
 # One value of each kind a hand-edited JSON document can hold by mistake.
 MUTANTS = {"nan": math.nan, "inf": math.inf, "null": None, "string": "x", "negative": -1}
 
@@ -160,6 +170,20 @@ def synth_template(tmp_path, table_path, template):
         "synth", str(table_path), str(path), "-o", str(tmp_path / "x.wav"),
         "--duration", "0.2",
     )
+
+
+def synth_source(tmp_path, source):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(source))
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps(TEMPLATE))
+    return run("synth", str(path), str(template), "-o", str(tmp_path / "x.wav"), "--duration", "0.2")
+
+
+def modes_profile(tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    return run("modes", str(path), "-o", str(tmp_path / "modes.csv"))
 
 
 def layers_steps(tmp_path, steps):
@@ -224,6 +248,74 @@ class TestMalformedInputs:
         assert code in (0, 1, 2, 3)
         if code:
             assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @pytest.mark.parametrize("path", list(leaf_paths(PROFILE)), ids=lambda p: ".".join(map(str, p)))
+    @pytest.mark.parametrize("load", [modes_profile, synth_source], ids=["modes", "synth"])
+    def test_fuzzed_profile_maps_to_an_exit_code(self, tmp_path, capsys, load, path, kind):
+        code = load(tmp_path, mutated(PROFILE, path, MUTANTS[kind]))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @pytest.mark.parametrize("path", list(leaf_paths(TABLE)), ids=lambda p: ".".join(map(str, p)))
+    def test_fuzzed_mode_table_maps_to_an_exit_code(self, tmp_path, capsys, path, kind):
+        code = synth_source(tmp_path, mutated(TABLE, path, MUTANTS[kind]))
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @pytest.mark.parametrize("load", [modes_profile, synth_source], ids=["modes", "synth"])
+    def test_source_that_is_not_an_object_is_data_error(self, tmp_path, capsys, load, kind):
+        assert load(tmp_path, MUTANTS[kind]) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize(
+        "path",
+        [("radius_m",), ("tension_n_per_m",), ("rings", 0, "r_frac"), ("rings", 0, "sigma_kg_m2")],
+        ids=lambda p: ".".join(map(str, p)),
+    )
+    @pytest.mark.parametrize("load", [modes_profile, synth_source], ids=["modes", "synth"])
+    def test_400_digit_integer_in_profile_is_data_error(self, tmp_path, capsys, load, path):
+        assert load(tmp_path, mutated(PROFILE, path, 10 ** 400)) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: malformed profile document")
+
+    def test_400_digit_frequency_in_mode_table_is_data_error(self, tmp_path, capsys):
+        assert synth_source(tmp_path, mutated(TABLE, ("modes", 0, "frequency_hz"), 10 ** 400)) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: malformed mode table document")
+
+
+class TestIntegralCounts:
+    """Counts read from JSON must be integral: 2.0 is 2, and 2.9 is refused,
+    not truncated."""
+
+    def test_fractional_excitation_mode_is_data_error(self, tmp_path, table_path, capsys):
+        template = mutated(TEMPLATE, ("excitations", 0, "mode"), 1.9)
+        assert synth_template(tmp_path, table_path, template) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: excitation mode must be an integer")
+
+    def test_integral_float_excitation_mode_renders(self, tmp_path, table_path):
+        template = mutated(TEMPLATE, ("excitations", 0, "mode"), 1.0)
+        assert synth_template(tmp_path, table_path, template) == 0
+
+    def test_fractional_stabilization_window_is_data_error(self, tmp_path, capsys):
+        assert layers_steps(tmp_path, mutated(STEPS, ("stabilization", "window"), 2.9)) == 2
+        assert capsys.readouterr().err.startswith(
+            "membrane-lab: stabilization window must be an integer"
+        )
+
+    def test_integral_float_stabilization_window_runs(self, tmp_path, capsys):
+        assert layers_steps(tmp_path, mutated(STEPS, ("stabilization", "window"), 2.0)) == 0
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_fractional_mode_table_index_is_data_error(self, tmp_path, capsys, key):
+        assert synth_source(tmp_path, mutated(TABLE, ("modes", 1, key), 1.9)) == 2
+        assert capsys.readouterr().err.startswith(f"membrane-lab: mode {key} must be an integer")
+
+    def test_integral_float_mode_table_index_renders(self, tmp_path):
+        assert synth_source(tmp_path, mutated(TABLE, ("modes", 1, "m"), 1.0)) == 0
 
 
 class TestSynthAnalyzeRoundTrip:

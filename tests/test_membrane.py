@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from membrane_lab import membrane
 from membrane_lab.bessel import bessel_zero
-from membrane_lab.errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
+from membrane_lab.errors import ConvergenceError, DomainError, InsufficientCeiling, ProfileMismatch
 from membrane_lab.loading import graded_profile
 from membrane_lab.membrane import (
     Mode,
@@ -94,6 +94,24 @@ class TestProfile:
 
     def test_fingerprint_distinguishes(self):
         assert two_ring(0.4, 3.0).fingerprint() != two_ring(0.4, 3.0000001).fingerprint()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("radius_m",), ("tension_n_per_m",), ("rings", 0, "r_frac"), ("rings", 1, "sigma_kg_m2")],
+    )
+    def test_json_with_a_400_digit_integer_is_malformed(self, path):
+        doc = json.loads(two_ring(0.5, 2.0).dumps())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 10 ** 400
+        with pytest.raises(ValueError, match="malformed profile document"):
+            RadialDensityProfile.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [math.nan, None, -1, "rings", []])
+    def test_json_that_is_not_an_object_is_malformed(self, doc):
+        with pytest.raises(ValueError, match="malformed profile document"):
+            RadialDensityProfile.from_json_dict(doc)
 
 
 class TestUniformModes:
@@ -480,6 +498,72 @@ class TestCountCertificate:
         assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
 
 
+def scipy_jy(orders, x):
+    """The kernel's Bessel values evaluated point by point by scipy's jv and
+    yn, as the kernel took them before the ladder."""
+    from scipy import special
+
+    m = np.broadcast_to(np.asarray(orders, dtype=int), np.shape(x))
+    return np.array([special.jv(m, x), special.yn(m, x), special.jv(m - 1, x), special.yn(m - 1, x)])
+
+
+class TestBesselLadderInKernel:
+    def test_one_jv_call_on_only_the_points_with_x_at_most_m(self, monkeypatch):
+        from scipy import special
+
+        calls = {"jv": [], "yn": [], "yv": []}
+        for name in calls:
+            original = getattr(special, name)
+            monkeypatch.setattr(
+                special, name, lambda *a, _f=original, _log=calls[name]: _log.append(a) or _f(*a)
+            )
+        profiles = [two_ring(0.4, 3.7), two_ring(0.25, 9.0)]
+        geometry = membrane._ring_geometry(profiles)[..., [0, 0, 0, 1, 1, 1]]
+        orders = np.array([0.0, 3.0, 8.0, 1.0, 5.0, 12.0])
+        freqs = np.array([0.3, 0.4, 0.9, 0.2, 1.1, 2.5])
+        _, ends, _ = membrane._propagate(geometry, orders, freqs)
+        args = np.array([end[0] for pair in ends for end in pair if end is not None])
+        low = args <= orders
+        assert 0 < low.sum() < low.size
+        assert calls["yn"] == [] and calls["yv"] == []
+        assert len(calls["jv"]) == 1
+        jv_orders, jv_x = calls["jv"][0]
+        assert np.array_equal(np.sort(jv_x), np.sort(args[low]))
+        assert np.array_equal(jv_orders[1], jv_orders[0] - 1)
+
+    def test_no_jv_call_when_every_x_exceeds_m(self, monkeypatch):
+        from scipy import special
+
+        calls = []
+        monkeypatch.setattr(special, "jv", lambda *a: calls.append(a))
+        membrane._propagate(membrane._ring_geometry([two_ring(0.4, 3.7)])[..., 0], 2, 3.0)
+        assert calls == []
+
+    def test_tables_agree_with_pointwise_scipy_values(self, monkeypatch):
+        # Random profiles of 1-32 rings at density contrast up to 50; the
+        # ladder's tables are not bit-identical to pointwise jv/yn ones, but
+        # agree far inside the polish tolerance (measured 8.6e-12 here).
+        rng = np.random.default_rng(11)
+        profiles = []
+        for _ in range(12):
+            count = int(rng.integers(1, 33))
+            edges = np.cumsum(rng.uniform(1.0, 10.0, count))
+            edges /= edges[-1]
+            edges[-1] = 1.0
+            densities = rng.uniform(1.0, 50.0, count)
+            profiles.append(RadialDensityProfile(
+                float(rng.uniform(0.05, 0.5)), float(rng.uniform(100.0, 5000.0)),
+                tuple(zip(edges, densities)),
+            ))
+        ladder = [composite_modes(p, 8, 5, math.inf) for p in profiles]
+        monkeypatch.setattr(membrane, "integer_jy", scipy_jy)
+        for profile, table in zip(profiles, ladder):
+            reference = composite_modes(profile, 8, 5, math.inf)
+            assert [(mo.m, mo.n) for mo in table] == [(mo.m, mo.n) for mo in reference]
+            rel = np.abs(table.frequencies - reference.frequencies) / reference.frequencies
+            assert rel.max() <= 1e-10
+
+
 class TestModeShape:
     def setup_method(self):
         self.profile = two_ring(0.4, 3.2)
@@ -547,6 +631,13 @@ class TestModeShape:
         with pytest.raises(ProfileMismatch):
             mode_shape(other, self.table[0], 128)
 
+    @pytest.mark.parametrize("order", [-5, -1, 13])
+    def test_order_outside_the_bessel_tables_is_a_domain_error(self, order):
+        profile = two_ring(0.4, 3.7)
+        mode = Mode(order, 1, 1.0, profile.fingerprint())
+        with pytest.raises(DomainError, match="mode order m must be in"):
+            mode_shape(profile, mode)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mode_shape(self.profile, self.table[0], 32)
@@ -594,3 +685,32 @@ class TestModeTableValidation:
     def test_rejects_duplicate_pairs(self):
         with pytest.raises(ValueError):
             ModeTable("", (Mode(0, 1, 100.0), Mode(0, 1, 150.0)))
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    @pytest.mark.parametrize("value", [1.9, math.inf, "1", False])
+    def test_json_refuses_a_non_integral_index(self, key, value):
+        doc = {"modes": [{"m": 0, "n": 1, "frequency_hz": 100.0}]}
+        doc["modes"][0][key] = value
+        with pytest.raises(ValueError, match=f"mode {key} must be an integer"):
+            ModeTable.from_json_dict(doc)
+
+    def test_json_takes_integral_float_indices(self):
+        table = ModeTable.from_json_dict({"modes": [{"m": 2.0, "n": 1.0, "frequency_hz": 100.0}]})
+        assert (table[0].m, table[0].n) == (2, 1)
+        assert type(table[0].m) is int and type(table[0].n) is int
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            math.nan,
+            None,
+            {"modes": None},
+            {"modes": [None]},
+            {"modes": [{"m": 0, "n": 1}]},
+            {"modes": [{"m": 0, "n": 1, "frequency_hz": 10 ** 400}]},
+        ],
+        ids=["nan", "null", "modes-null", "entry-null", "no-frequency", "400-digit-frequency"],
+    )
+    def test_malformed_json_raises_value_error(self, doc):
+        with pytest.raises(ValueError, match="malformed mode table document"):
+            ModeTable.from_json_dict(doc)

@@ -182,6 +182,17 @@ class TestConstructorsRejectNonFinite:
         with pytest.raises(ValueError):
             StrokeTemplate.from_json_dict(doc)
 
+    @pytest.mark.parametrize("mode", [1.9, "1", True])
+    def test_from_json_dict_refuses_a_non_integral_mode(self, mode):
+        doc = {"name": "ta", "excitations": [{"mode": mode, "amp": 1.0, "lambda_s": 1.0}]}
+        with pytest.raises(ValueError, match="excitation mode must be an integer"):
+            StrokeTemplate.from_json_dict(doc)
+
+    def test_from_json_dict_takes_an_integral_float_mode(self):
+        doc = {"name": "ta", "excitations": [{"mode": 2.0, "amp": 1.0, "lambda_s": 1.0}]}
+        mode = StrokeTemplate.from_json_dict(doc).excitations[0].mode_index
+        assert mode == 2 and type(mode) is int
+
 
 class TestTemplates:
     def test_needs_content(self):
