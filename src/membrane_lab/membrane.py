@@ -13,14 +13,17 @@ The radial equation is Sturm-Liouville, so the number of order-m modes
 below f is the number of zeros of the propagated solution inside the head;
 the solver bisects on that count until each bracket holds root n alone,
 then polishes all brackets together by Illinois false position with a
-bisection safeguard.  One kernel, _propagate, serves each step and
-mode_shape; it reads each point's ring geometry, so one call can serve a
-stack of profiles with equal ring counts (_solve_stack, of which
-composite_modes is the one-profile case).  Slopes come from the recurrence
-f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2), so each boundary needs J
-and Y at orders m and m-1 only; orders are integers, so one call of
-bessel.integer_jy, an upward ladder of the order recurrence, gives them at
-every ring end of every point.
+bisection safeguard and Brent's closing step, and snaps each root to the
+cell of the 38-significant-bit float grid where D changes sign (_snap).
+A root is thus its profile's own and not its bracket's, so a solve may
+start from root guesses (_solve_stack's near).  One kernel, _propagate,
+serves each step and mode_shape; it reads each point's ring geometry, so
+one call can serve a stack of profiles with equal ring counts
+(_solve_stack, of which composite_modes is the one-profile case).  Slopes
+come from the recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF
+10.6.2), so each boundary needs J and Y at orders m and m-1 only; orders
+are integers, so one call of bessel.integer_jy, an upward ladder of the
+order recurrence, gives them at every ring end of every point.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ _POLISH_SLACK = 4
 # The Sturm brackets are exact for a uniform head, which puts both ends on
 # the root; this keeps it strictly inside.
 _BRACKET_WIDEN = 1.01
+# Relative half-width of a bracket started from a root guess.
+_NEAR_WIDTH = 1e-3
+# Every root is snapped to a cell of the grid of 38-significant-bit floats,
+# 2^-38 to 2^-37 (3.6e-12 to 7.3e-12) of the root wide, inside BISECT_RTOL;
+# a float64 is on that grid when its low _SNAP_BITS mantissa bits are zero.
+_SNAP_BITS = 53 - 38
+# Cells the snap may walk from the polished root's own before it gives up.
+_SNAP_WALK = 4
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,14 @@ class RadialDensityProfile:
     rings: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if not (self.tension > 0 and math.isfinite(self.tension)):
-            raise ValueError(f"tension must be positive and finite, got {self.tension}")
-        rings = tuple((float(f), float(s)) for f, s in self.rings)
+        try:
+            if not (self.radius > 0 and math.isfinite(self.radius)):
+                raise ValueError(f"radius must be positive and finite, got {self.radius}")
+            if not (self.tension > 0 and math.isfinite(self.tension)):
+                raise ValueError(f"tension must be positive and finite, got {self.tension}")
+            rings = tuple((float(f), float(s)) for f, s in self.rings)
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValueError(f"profile values must be finite: {exc}") from exc
         object.__setattr__(self, "rings", rings)
         if len(rings) < 1:
             raise ValueError("profile needs at least one ring")
@@ -100,7 +114,7 @@ class RadialDensityProfile:
         try:
             rings = tuple((r["r_frac"], r["sigma_kg_m2"]) for r in doc["rings"])
             return cls(doc["radius_m"], doc["tension_n_per_m"], rings)
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed profile document: {exc}") from exc
 
     def dumps(self) -> str:
@@ -119,6 +133,14 @@ class Mode:
     n: int
     frequency: float
     source_fingerprint: str = ""
+
+    def __post_init__(self):
+        try:
+            frequency = float(self.frequency)
+        except OverflowError:  # an integer too large for a float
+            frequency = math.inf
+        if not (frequency > 0 and math.isfinite(frequency)):
+            raise ValueError(f"mode frequency must be positive and finite, got {frequency}")
 
 
 @dataclass(frozen=True)
@@ -334,10 +356,13 @@ def _polish(
     enough that neither part is wider than bisection would have left the
     bracket _POLISH_SLACK steps earlier (a pulled point is no chord step),
     so no bracket takes more than _POLISH_SLACK steps beyond bisection's
-    count.  Each step evaluates D alone, in one _propagate call, at only
-    the brackets still wider than BISECT_RTOL of their midpoint; no
-    bracket's steps depend on another's.  Returns the midpoints of the
-    final brackets.
+    count.  As in Brent's method the point is then kept at least a quarter
+    of BISECT_RTOL of the midpoint inside both ends, so a chord that lands
+    on or beside an end on the root closes the bracket in one step (only
+    a NaN chord falls back to the midpoint).  Each step evaluates D alone,
+    in one _propagate call, at only the brackets still wider than
+    BISECT_RTOL of their midpoint; no bracket's steps depend on another's.
+    Returns the midpoints of the final brackets.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
     start_width = hi - lo
@@ -352,8 +377,12 @@ def _polish(
         a, b, fa, fb = lo[act], hi[act], d_lo[act], d_hi[act]
         chord = (a * fb - b * fa) / (fb - fa)
         allowed = start_width[act] * 2.0 ** (_POLISH_SLACK - step - 1)
-        x = np.where((chord > a) & (chord < b), chord, mid[act])
+        x = np.where(np.isnan(chord), mid[act], chord)
         x = np.clip(x, b - allowed, a + allowed)
+        # Brent's closing step: a point within delta of an end moves delta
+        # inside, so a bracket with one end on the root closes at once.
+        delta = 0.25 * BISECT_RTOL * np.abs(mid[act])
+        x = np.clip(x, a + delta, b - delta)
         *_, fx = _propagate(geometry[..., act], orders[act], x)
         move_hi = fa * fx < 0.0
         # An exact zero closes the bracket on it.
@@ -365,6 +394,51 @@ def _polish(
         kept_hi[act] = ~move_hi & (x == chord)
     raise ConvergenceError(
         f"bracketed root failed to converge in {BISECT_CAP} polish steps"
+    )
+
+
+def _snap(
+    geometry: np.ndarray, orders: np.ndarray, roots: np.ndarray, below: np.ndarray
+) -> np.ndarray:
+    """Move polished roots onto the grid of 38-significant-bit floats.
+
+    Each root's cell on that grid, [g, g+] with g the root with its low
+    _SNAP_BITS mantissa bits cleared, has D evaluated at both ends in one
+    _propagate call.  below is the sign D takes just below each root.
+    While both ends of a cell lie on one side of the root the cell steps
+    one grid point toward it, one _propagate call per step, until D
+    changes sign across it.  Returns that cell's midpoint, or a grid point
+    where D is exactly zero, so a root depends on its profile and not on
+    the bracket it was polished from.  Raises ConvergenceError when no
+    cell within _SNAP_WALK steps brackets the root.
+    """
+    step = np.int64(1 << _SNAP_BITS)
+    lo = np.ascontiguousarray(roots, dtype=float).view(np.int64) & ~(step - 1)
+    hi = lo + step
+    ends = np.concatenate([lo, hi]).view(float)
+    d = _propagate(geometry[..., np.tile(np.arange(lo.size), 2)], np.tile(orders, 2), ends)[-1]
+    d_lo, d_hi = d[: lo.size] * below, d[lo.size :] * below
+    out = np.empty(lo.size)
+    act = np.arange(lo.size)
+    for walked in range(_SNAP_WALK + 1):
+        done = (d_lo == 0.0) | (d_hi == 0.0) | ((d_lo > 0.0) & (d_hi < 0.0))
+        g_lo, g_hi = lo.view(float), hi.view(float)
+        out[act[done]] = np.where(
+            d_lo == 0.0, g_lo, np.where(d_hi == 0.0, g_hi, 0.5 * (g_lo + g_hi))
+        )[done]
+        if done.all():
+            return out
+        # A cell with both ends below the root steps up, one above it down.
+        up = d_hi[~done] > 0.0
+        if walked == _SNAP_WALK or not (up | (d_lo[~done] < 0.0)).all():
+            break
+        act, lo, hi, d_lo, d_hi = (a[~done] for a in (act, lo, hi, d_lo, d_hi))
+        lo, hi = np.where(up, hi, lo - step), np.where(up, hi + step, lo)
+        fresh = np.where(up, hi, lo).view(float)
+        d_new = _propagate(geometry[..., act], orders[act], fresh)[-1] * below[act]
+        d_lo, d_hi = np.where(up, d_hi, d_new), np.where(up, d_new, d_lo)
+    raise ConvergenceError(
+        f"D does not change sign within {_SNAP_WALK} grid cells of a polished root"
     )
 
 
@@ -383,22 +457,33 @@ def composite_modes(
     halved, all (m, n) together in one _propagate call per step, until
     N_m(lo) = n - 1 and N_m(hi) = n.  Each bracket then holds root n alone,
     so n is its count, not its position, and _polish finishes them all in
-    one batch.  f_ceiling is only a limit: math.inf solves every profile.
+    one batch; _snap puts each root at the midpoint of its cell on the grid
+    of 38-significant-bit floats.  f_ceiling is only a limit: math.inf
+    solves every profile.
     Returns the n_max lowest roots of each order m <= m_max.
     Raises InsufficientCeiling when an order has fewer than n_max roots
     below f_ceiling (found is N_m(f_ceiling)), and ConvergenceError when an
-    isolated bracket has D of one sign at both ends.
+    isolated bracket has D of one sign at both ends or no grid cell near a
+    polished root brackets it.
     """
     return _solve_stack([profile], m_max, n_max, f_ceiling)[0]
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float) -> list[ModeTable]:
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) -> list[ModeTable]:
     """composite_modes of each profile in a stack of equal ring count.
 
     The brackets of every (profile, m, n) form one array, so each
-    bisection and polish step is one _propagate call for the whole stack.
-    Every bracket is bisected and polished on its own, so each profile's
-    table is bit-identical to solving it alone.
+    bisection and polish step is one _propagate call for the whole stack,
+    as are the probes of all bracket ends before them.  Every bracket is
+    bisected and polished on its own, so each profile's table is
+    bit-identical to solving it alone.
+
+    near, if given, holds root guesses in (m, n) order, m major, one row
+    per profile or one row for all.  Each bracket then starts at
+    near * (1 -/+ _NEAR_WIDTH) clipped into its Sturm bracket, and an end
+    whose count shows root n beyond it falls back to its Sturm end; all
+    ends are probed in the one call.  Guesses move only the brackets: the
+    snap makes the table bit-identical to the cold solve's.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -420,18 +505,34 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float) -> list[Mod
         f_ceiling,
     )
     width = m.size
-    lo, hi = lo.ravel(), hi.ravel()
-    geometry = geometry[..., np.repeat(np.arange(len(profiles)), width)]
+    ends = [lo.ravel(), hi.ravel()]
+    if near is not None:
+        guess = np.broadcast_to(np.asarray(near, dtype=float), lo.shape).ravel()
+        # fmax and fmin keep a NaN guess's ends on the Sturm ones.
+        ends += [
+            np.fmin(np.fmax(guess * (1.0 - _NEAR_WIDTH), ends[0]), ends[1]),
+            np.fmin(np.fmax(guess * (1.0 + _NEAR_WIDTH), ends[0]), ends[1]),
+        ]
+    # Every end of every bracket in one call; one row of counts per end.
+    point = np.repeat(np.arange(len(profiles)), width)
     m, n = np.tile(m, len(profiles)), np.tile(n, len(profiles))
-    n_lo, d_lo = _probe(geometry, m, lo)
-    n_hi, d_hi = _probe(geometry, m, hi)
+    counts, ds = _probe(
+        geometry[..., np.tile(point, len(ends))], np.tile(m, len(ends)), np.concatenate(ends)
+    )
+    counts, ds = counts.reshape(len(ends), -1), ds.reshape(len(ends), -1)
+    geometry = geometry[..., point]
 
     # N_m(f_ceiling) where f_ceiling capped hi, one row per profile.
-    below_ceiling = n_hi[n == n_max].reshape(len(profiles), m_max + 1)
+    below_ceiling = counts[1][n == n_max].reshape(len(profiles), m_max + 1)
     short = np.argwhere(below_ceiling < n_max)
     if short.size:
         row, order = short[0]
         raise InsufficientCeiling(int(order), int(below_ceiling[row, order]), n_max, f_ceiling)
+    lo, n_lo, d_lo, hi, n_hi, d_hi = ends[0], counts[0], ds[0], ends[1], counts[1], ds[1]
+    if near is not None:
+        # A near end whose count puts root n beyond it falls back to its Sturm end.
+        lo, n_lo, d_lo = (np.where(counts[2] < n, a[2], a[0]) for a in (ends, counts, ds))
+        hi, n_hi, d_hi = (np.where(counts[3] >= n, a[3], a[1]) for a in (ends, counts, ds))
 
     for _ in range(BISECT_CAP):
         act = np.flatnonzero((n_lo != n - 1) | (n_hi != n))
@@ -448,8 +549,10 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float) -> list[Mod
     if np.any(d_lo * d_hi > 0.0):
         raise ConvergenceError("an isolated mode has D of one sign at both bracket ends")
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
+    sign_below = np.where(d_lo != 0.0, np.sign(d_lo), -np.sign(d_hi))
     hi = np.where(d_lo == 0.0, lo, hi)
-    roots = _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
+    roots = _polish(geometry, m, lo, hi, d_lo, d_hi)
+    roots = _snap(geometry, m, roots, sign_below).reshape(len(profiles), width)
     tables = []
     for profile, row in zip(profiles, roots):
         fp = profile.fingerprint()

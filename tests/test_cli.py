@@ -282,6 +282,22 @@ class TestMalformedInputs:
         assert load(tmp_path, mutated(PROFILE, path, 10 ** 400)) == 2
         assert capsys.readouterr().err.startswith("membrane-lab: malformed profile document")
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, 0.0, -100.0])
+    def test_mode_table_frequency_must_be_positive_and_finite(
+        self, tmp_path, capsys, monkeypatch, frequency
+    ):
+        from membrane_lab import cli
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("the stroke was rendered")
+
+        monkeypatch.setattr(cli, "render_stroke", no_render)
+        assert synth_source(tmp_path, mutated(TABLE, ("modes", 0, "frequency_hz"), frequency)) == 2
+        assert capsys.readouterr().err.startswith(
+            "membrane-lab: mode frequency must be positive and finite"
+        )
+        assert not (tmp_path / "x.wav").exists()
+
     def test_400_digit_frequency_in_mode_table_is_data_error(self, tmp_path, capsys):
         assert synth_source(tmp_path, mutated(TABLE, ("modes", 0, "frequency_hz"), 10 ** 400)) == 2
         assert capsys.readouterr().err.startswith("membrane-lab: malformed mode table document")

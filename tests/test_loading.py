@@ -38,7 +38,7 @@ def stub_objective(monkeypatch, objective):
     monkeypatch.setattr(
         loading,
         "_stack_objective",
-        lambda profiles, overtones: [objective(p, overtones) for p in profiles],
+        lambda profiles, overtones, near=None: [objective(p, overtones) for p in profiles],
     )
 
 
@@ -48,9 +48,9 @@ def count_solves(monkeypatch) -> list:
     solved = []
     stack_objective = loading._stack_objective
 
-    def counted_stack(profiles, overtones):
+    def counted_stack(profiles, overtones, near=None):
         solved.extend(p.rings for p in profiles)
-        return stack_objective(profiles, overtones)
+        return stack_objective(profiles, overtones, near)
 
     monkeypatch.setattr(loading, "_stack_objective", counted_stack)
     return solved
@@ -266,9 +266,9 @@ class TestOptimizer:
             calls[-1] += 1
             return propagate(*args)
 
-        def counted_stack(profiles, overtones):
+        def counted_stack(profiles, overtones, near=None):
             calls.append(0)
-            return stack_objective(profiles, overtones)
+            return stack_objective(profiles, overtones, near)
 
         monkeypatch.setattr(membrane, "_propagate", counted_propagate)
         monkeypatch.setattr(loading, "_stack_objective", counted_stack)
@@ -276,6 +276,23 @@ class TestOptimizer:
         optimize_two_region(budget=2000)
         assert len(calls) == math.ceil(24 * 24 / loading._GRID_STACK)
         assert sum(calls) <= 450
+
+    def test_design_job_work(self, monkeypatch):
+        # Counts, not time: this budget-2000 design job took 2,914 _propagate
+        # calls with every simplex solve started from the Sturm brackets;
+        # warm-started from the solve before, it takes 1,509.
+        from membrane_lab import membrane
+
+        calls = []
+        propagate = membrane._propagate
+
+        def counted_propagate(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(membrane, "_propagate", counted_propagate)
+        optimize_two_region((0.104, 0.695), (1.229, 7.628), overtones=5, budget=2000)
+        assert len(calls) <= 1600
 
     def test_budget_accounting_consistent(self, quick_result):
         assert quick_result.evaluations <= 260

@@ -108,6 +108,19 @@ class TestProfile:
         with pytest.raises(ValueError, match="malformed profile document"):
             RadialDensityProfile.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10 ** 400, 1.0, ((1.0, 1.0),)),
+            (1.0, 10 ** 400, ((1.0, 1.0),)),
+            (1.0, 1.0, ((0.5, 10 ** 400), (1.0, 1.0))),
+        ],
+        ids=["radius", "tension", "density"],
+    )
+    def test_a_400_digit_integer_is_a_value_error(self, args):
+        with pytest.raises(ValueError, match="profile values must be finite"):
+            RadialDensityProfile(*args)
+
     @pytest.mark.parametrize("doc", [math.nan, None, -1, "rings", []])
     def test_json_that_is_not_an_object_is_malformed(self, doc):
         with pytest.raises(ValueError, match="malformed profile document"):
@@ -418,12 +431,17 @@ class TestPolish:
         # Sturm bracket; record it, then put the first root exactly there.
         calls = stub_roots(monkeypatch, 0.5, 1.0)
         composite_modes(STUB_PROFILE, 0, 2, 3.0)
-        zero = calls[2][0]  # calls 0 and 1 are the bracket ends
+        zero = calls[1][0]  # call 0 is the bracket ends
         calls = stub_roots(monkeypatch, zero, 1.0)
         table = composite_modes(STUB_PROFILE, 0, 2, 3.0)
-        assert calls[2][0] == zero
+        assert calls[1][0] == zero
+        # The root is snapped onto the grid of 38-significant-bit floats:
+        # it is zero itself if zero is on that grid, where D is exactly 0,
+        # and otherwise the midpoint of the grid cell holding zero.
+        spacing = 2.0 ** (math.frexp(zero)[1] - 38)
+        cell = math.floor(zero / spacing) * spacing
         got = table.frequencies
-        assert got[0] == zero
+        assert got[0] == (zero if cell == zero else cell + 0.5 * spacing)
         assert got[1] == pytest.approx(1.0, rel=1e-11)
 
     def test_more_sign_changes_than_n_max_keep_the_lowest(self, monkeypatch):
@@ -447,6 +465,19 @@ class TestPolish:
         for m in (0, 1):
             got = [mo.frequency for mo in table if mo.m == m]
             assert np.allclose(got, [0.16, 0.31, 0.46], rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("on_grid", [1.0, math.nan], ids=["one-sign", "nan"])
+    def test_no_sign_change_on_the_snap_grid_is_refused(self, monkeypatch, on_grid):
+        # D changes sign at 1.1 between the points the polish visits, but is
+        # on_grid at every 38-significant-bit float the snap evaluates: no
+        # grid cell near the polished root brackets it.
+        def residual(f):
+            grid = (np.asarray(f, dtype=float).view(np.int64) & (2 ** 15 - 1)) == 0
+            return np.where(grid, on_grid, f - 1.1)
+
+        stub_solution(monkeypatch, residual, lambda f: (f > 1.1).astype(int))
+        with pytest.raises(ConvergenceError, match="grid cells"):
+            composite_modes(STUB_PROFILE, 0, 1, 3.0)
 
     def test_bracket_without_sign_change_is_refused(self, monkeypatch):
         # The count claims a root at 1.0 where D only touches zero: the
@@ -496,6 +527,26 @@ class TestCountCertificate:
         heavier = composite_modes(RadialDensityProfile(1.0, 1.0, tuple(rings)), 2, 2, math.inf)
         light = {(mo.m, mo.n): mo.frequency for mo in table}
         assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
+
+
+def _mn_roots(table):
+    """A table's frequencies in _solve_stack's (m, n) order."""
+    return np.array([mo.frequency for mo in sorted(table, key=lambda mo: (mo.m, mo.n))])
+
+
+class TestWarmStart:
+    @settings(max_examples=20, deadline=None)
+    @given(profile=ring_profiles(), other=ring_profiles())
+    def test_warm_solve_is_the_cold_solve_bit_for_bit(self, profile, other):
+        # A guess near the roots, far from them or from another profile only
+        # changes the brackets the solve starts from, never its table.
+        cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        roots = _mn_roots(cold)
+        guesses = [roots * factor for factor in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-2, 1 + 1e-2, 1.5)]
+        guesses.append(_mn_roots(composite_modes(other, 4, 4, math.inf)))
+        for guess in guesses:
+            warm = membrane._solve_stack([profile], 4, 4, math.inf, near=guess)[0]
+            assert _hex_table(warm) == _hex_table(cold)
 
 
 def scipy_jy(orders, x):
@@ -685,6 +736,17 @@ class TestModeTableValidation:
     def test_rejects_duplicate_pairs(self):
         with pytest.raises(ValueError):
             ModeTable("", (Mode(0, 1, 100.0), Mode(0, 1, 150.0)))
+
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+    def test_rejects_a_frequency_that_is_not_positive_and_finite(self, frequency):
+        with pytest.raises(ValueError, match="mode frequency must be positive and finite"):
+            ModeTable("", (Mode(0, 1, frequency),))
+        with pytest.raises(ValueError, match="mode frequency must be positive and finite"):
+            ModeTable.from_json_dict({"modes": [{"m": 0, "n": 1, "frequency_hz": frequency}]})
+
+    def test_rejects_a_400_digit_frequency(self):
+        with pytest.raises(ValueError, match="mode frequency must be positive and finite"):
+            Mode(0, 1, 10 ** 400)
 
     @pytest.mark.parametrize("key", ["m", "n"])
     @pytest.mark.parametrize("value", [1.9, math.inf, "1", False])
