@@ -2,8 +2,10 @@
 
 The stock json module prints floats via repr, which is faithful but noisy
 and couples goldens to platform quirks; reports want stable bytes for
-diffing and regression pinning instead.  On the way in, counts read from
-a document go through integral, which refuses what int() would truncate.
+diffing and regression pinning instead.  On the way in, numbers read from
+a document go through number, which refuses the strings float() would
+parse, and counts through integral, which refuses what int() would
+truncate.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ def _escape(text: str) -> str:
             out.append(ch)
     out.append("\"")
     return "".join(out)
+
+
+def number(value, name: str) -> float:
+    """A number read from a JSON document: an integer or a float (one too
+    large for a float raises OverflowError); anything else raises ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def integral(value, name: str) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     SilentInput,
     TooFewPeaks,
 )
-from .harmonicity import CharacteristicRatioVerdict, characteristic_verdicts
+from .harmonicity import CharacteristicRatioVerdict, characteristic_verdicts, ratio_limits
 
 _WINDOWS = ("hann", "rect")
 
@@ -676,6 +676,7 @@ def analyze(
     tolerances: dict | None = None,
 ) -> AnalysisReport:
     """Full pipeline: features, characteristic verdicts, classification."""
+    targets, tolerances = ratio_limits(targets, tolerances)  # before any work
     features = extract_features(
         waveform, sample_rate, fft_size, min_prominence_db, max_peaks, f_search
     )

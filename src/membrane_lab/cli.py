@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import _jsonfmt
+from ._jsonfmt import integral, number
 from .analysis import analyze
 from .config import config_dir
 from .errors import MembraneLabError, SolverError
@@ -25,19 +26,9 @@ from .loading import (
     simulate_layers,
 )
 # default_ceiling stays importable here: bench/tracing.py wraps it in this module.
-from .membrane import (
-    ModeTable,
-    RadialDensityProfile,
-    composite_modes,
-    default_ceiling,
-)
+from .membrane import ModeTable, RadialDensityProfile, composite_modes, default_ceiling
 from .materials import load_samples_csv, material_report
-from .synth import (
-    RenderSpec,
-    StrokeTemplate,
-    annular_filter,
-    render_stroke,
-)
+from .synth import RenderSpec, StrokeTemplate, annular_filter, render_stroke
 from .wav import read_wav, write_wav
 
 EXIT_OK = 0
@@ -108,10 +99,13 @@ def _load_steps(path: str) -> tuple[list[LayerStep], float, int]:
     """Layer steps, stabilization epsilon and window of a steps document."""
     doc = json.loads(Path(path).read_text())
     try:
-        steps = [LayerStep(float(s["r_frac"]), float(s["dsigma_kg_m2"])) for s in doc["steps"]]
+        steps = [
+            LayerStep(number(s["r_frac"], "r_frac"), number(s["dsigma_kg_m2"], "dsigma_kg_m2"))
+            for s in doc["steps"]
+        ]
         stab = doc.get("stabilization", {})
-        epsilon = float(stab.get("epsilon", STABILIZATION_EPSILON))
-        window = _jsonfmt.integral(stab.get("window", STABILIZATION_WINDOW), "stabilization window")
+        epsilon = number(stab.get("epsilon", STABILIZATION_EPSILON), "stabilization epsilon")
+        window = integral(stab.get("window", STABILIZATION_WINDOW), "stabilization window")
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed layer steps: {exc}") from exc
     return steps, epsilon, window

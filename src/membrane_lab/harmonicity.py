@@ -123,6 +123,21 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     )
 
 
+def ratio_limits(targets: dict | None = None, tolerances: dict | None = None) -> tuple[dict, dict]:
+    """RATIO_TARGETS and RATIO_TOLERANCES with the given entries merged over
+    them.  Raises ValueError for a target that is not finite and > 0, or a
+    tolerance that is not finite and >= 0."""
+    targets = {**RATIO_TARGETS, **(targets or {})}
+    tolerances = {**RATIO_TOLERANCES, **(tolerances or {})}
+    for name, target in targets.items():
+        if not 0 < target < math.inf:
+            raise ValueError(f"ratio target {name} must be finite and > 0, got {target}")
+    for name, tol in tolerances.items():
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"ratio tolerance {name} must be finite and >= 0, got {tol}")
+    return targets, tolerances
+
+
 def characteristic_verdicts(
     dheem: float,
     chappu: float,
@@ -130,11 +145,13 @@ def characteristic_verdicts(
     targets: dict | None = None,
     tolerances: dict | None = None,
 ) -> list[CharacteristicRatioVerdict]:
-    """Pass/fail on the three signature ratios of a well-made head."""
+    """Pass/fail on the three signature ratios of a well-made head; the
+    frequencies must be finite, and the limits pass ratio_limits."""
+    targets, tolerances = ratio_limits(targets, tolerances)
+    if not all(math.isfinite(f) for f in (dheem, chappu, nam)):
+        raise ValueError("characteristic ratios need finite frequencies")
     if min(dheem, chappu, nam) <= 0:
         raise NonPositiveFrequency("characteristic ratios need positive frequencies")
-    targets = {**RATIO_TARGETS, **(targets or {})}
-    tolerances = {**RATIO_TOLERANCES, **(tolerances or {})}
     measured = {
         "dheem_to_fundamental": dheem / (chappu / 2.0),
         "dheem_to_chappu": dheem / chappu,

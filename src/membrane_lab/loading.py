@@ -9,13 +9,11 @@ is).  Both searches, two-region and graded, share one skeleton.
 
 Budget accounting: `evaluations` in a result is the number of distinct
 profiles solved; a revisited point is served from the search's cache and
-costs nothing.  Every solve, grid and simplex alike, goes through one
-ledger that solves the new points of a call in stacks of profiles, one
-kernel call per solver step for the whole stack; each simplex solve starts
-from the roots of the one before, which changes its cost but not its
-table.  The budget caps new
-solves, and `budget_exhausted` is set exactly when the cap stopped the
-search, which may happen in the grid or in the simplex.  Otherwise the
+costs nothing.  Every solve goes through one ledger that solves the new
+points of a call in stacks, one kernel call per solver step for the whole
+stack, and scores each profile's sorted roots with no ModeTable built.
+The budget caps new solves, and `budget_exhausted` is set exactly when the
+cap stopped the search, in the grid or in the simplex.  Otherwise the
 simplex stops once its vertices agree within 1e-9 in every coordinate and
 their values within 1e-12 (or, as a backstop, after 400 iterations).  The
 answer is the best point over everything evaluated, grid included, and
@@ -35,11 +33,7 @@ from .errors import SolverError
 from .harmonicity import HarmonicAssessment, harmonicity_score
 # default_ceiling stays importable here: bench/tracing.py wraps it in this module.
 from .membrane import (
-    ModeTable,
-    RadialDensityProfile,
-    _solve_stack,
-    composite_modes,
-    default_ceiling,
+    ModeTable, RadialDensityProfile, _solve_stack, composite_modes, default_ceiling
 )
 
 GRID_POINTS = 24
@@ -158,27 +152,22 @@ def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> Harmoni
     that degenerate partners collapse exactly, which a radial loading
     cannot do and the instrument does not need.
     """
-    return _stack_objective([profile], overtones)[0]
+    return _stack_objective([profile], overtones)[0][0]
 
 
-def _stack_objective(profiles, overtones: int, near=None) -> list[HarmonicAssessment]:
-    """harmonic_objective of each profile, all solved as one stack.
-
-    near warm-starts a stack of one profile: a list that holds the roots of
-    the solve before, in _solve_stack's (m, n) order, or nothing for a cold
-    solve.  This solve's roots replace its content.
-    """
-    tables = _solve_stack(
-        profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=near[0] if near else None
-    )
-    if near is not None:
-        near[:] = [[mo.frequency for mo in sorted(tables[0], key=lambda mo: (mo.m, mo.n))]]
+def _stack_objective(
+    profiles, overtones: int, near=None
+) -> tuple[list[HarmonicAssessment], np.ndarray]:
+    """harmonic_objective of each profile, all solved as one stack, and
+    _solve_stack's roots, a row per profile in its (m, n) order.  Rows are
+    scored sorted; near, a row such as a solve before returned, warm-starts
+    the solve."""
+    roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=near)
     assessments = []
-    for table in tables:
-        freqs = table.frequencies
+    for freqs in np.sort(roots, axis=1):
         window = freqs[freqs <= (overtones + 1.55) * freqs[1] / 2.0]
         assessments.append(harmonicity_score(window, max_overtone=overtones + 1))
-    return assessments
+    return assessments, roots
 
 
 def _grid_side(budget: int) -> int:
@@ -259,7 +248,7 @@ def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=
     ones that fit in the budget in stacks of _GRID_STACK profiles, and
     stops the search when a new point did not fit.  The first and grid
     points are one call, solved cold; each simplex point is a stack of one,
-    warm-started from the roots of the simplex solve before it.
+    warm-started from the root row of the simplex solve before it.
 
     Returns (x, assessment, distinct solves, budget exhausted), where x is
     the _select_best point over everything evaluated and assessment its
@@ -267,16 +256,20 @@ def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=
     """
     cache: dict[tuple[float, float], float] = {}
     best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, assessment)
-    warm: list = []  # the roots of the last simplex solve
+    warm = None  # the root row of the last simplex solve
 
-    def solve(points, near=None) -> list[float]:
-        nonlocal best
+    def solve(points, warm_start=False) -> list[float]:
+        nonlocal best, warm
         keys = [(float(a), float(b)) for a, b in points]
         new = [k for k in dict.fromkeys(keys) if k not in cache]
         fits = new[: budget - len(cache)]
         for start in range(0, len(fits), _GRID_STACK):
             stack = fits[start : start + _GRID_STACK]
-            assessments = _stack_objective([profile_at(*k) for k in stack], overtones, near=near)
+            assessments, roots = _stack_objective(
+                [profile_at(*k) for k in stack], overtones, near=warm if warm_start else None
+            )
+            if warm_start:
+                warm = roots[-1]
             for k, assessment in zip(stack, assessments):
                 cache[k] = _search_value(assessment, overtones)
                 best = _select_best([best, (cache[k], *k, assessment)])
@@ -296,7 +289,7 @@ def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=
             vertex = x0.copy()
             vertex[i] += step if vertex[i] + step <= hi else -step
             simplex.append(vertex)
-        _nelder_mead(lambda x: solve([x], warm)[0], simplex, bounds)
+        _nelder_mead(lambda x: solve([x], warm_start=True)[0], simplex, bounds)
     except _BudgetSpent:
         exhausted = True
     return best[1:3], best[3], len(cache), exhausted

@@ -9,34 +9,26 @@ displacement of an azimuthal-order-m mode is
 with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
-The radial equation is Sturm-Liouville, so the number of order-m modes
-below f is the number of zeros of the propagated solution inside the head;
-the solver bisects on that count until each bracket holds root n alone,
-then polishes all brackets together by Illinois false position with a
-bisection safeguard and Brent's closing step, and snaps each root to the
-cell of the 38-significant-bit float grid where D changes sign (_snap).
-A root is thus its profile's own and not its bracket's, so a solve may
-start from root guesses (_solve_stack's near).  One kernel, _propagate,
-serves each step and mode_shape; it reads each point's ring geometry, so
-one call can serve a stack of profiles with equal ring counts
-(_solve_stack, of which composite_modes is the one-profile case).  Slopes
-come from the recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF
-10.6.2), so each boundary needs J and Y at orders m and m-1 only; orders
-are integers, so one call of bessel.integer_jy, an upward ladder of the
-order recurrence, gives them at every ring end of every point.
+
+One kernel, _propagate, serves the solver and mode_shape.  The solver,
+_solve_stack, counts, polishes and snaps the roots of a stack of profiles
+of equal ring count at once (see composite_modes, its one-profile case).
+It owns the (m, n) order of roots: they stay one array, a row per profile,
+m major, until a ModeTable is asked for, and only _table makes Modes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonfmt import integral
+from ._jsonfmt import integral, number
 from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero, integer_jy
 from .errors import ConvergenceError, DomainError, InsufficientCeiling, ProfileMismatch
 
@@ -112,9 +104,11 @@ class RadialDensityProfile:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RadialDensityProfile":
         try:
-            rings = tuple((r["r_frac"], r["sigma_kg_m2"]) for r in doc["rings"])
-            return cls(doc["radius_m"], doc["tension_n_per_m"], rings)
-        except (KeyError, TypeError, ValueError) as exc:
+            rings = tuple((number(r["r_frac"], "r_frac"), number(r["sigma_kg_m2"], "sigma_kg_m2"))
+                          for r in doc["rings"])
+            return cls(number(doc["radius_m"], "radius_m"),
+                       number(doc["tension_n_per_m"], "tension_n_per_m"), rings)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed profile document: {exc}") from exc
 
     def dumps(self) -> str:
@@ -192,7 +186,7 @@ class ModeTable:
             fp = doc.get("profile_fingerprint", "")
             modes = tuple(
                 Mode(integral(e["m"], "mode m"), integral(e["n"], "mode n"),
-                     float(e["frequency_hz"]), fp)
+                     number(e["frequency_hz"], "mode frequency"), fp)
                 for e in doc["modes"]
             )
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -200,9 +194,12 @@ class ModeTable:
         return cls(fp, modes)
 
 
-def _sorted_table(fingerprint: str, modes: list[Mode]) -> ModeTable:
-    modes.sort(key=lambda mo: (mo.frequency, mo.m, mo.n))
-    return ModeTable(fingerprint, tuple(modes))
+def _table(profile: RadialDensityProfile, m_max: int, n_max: int, freqs) -> ModeTable:
+    """The ModeTable of a profile's roots, given in (m, n) order, m major."""
+    fp = profile.fingerprint()
+    pairs = itertools.product(range(m_max + 1), range(1, n_max + 1))
+    modes = [Mode(m, n, float(f), fp) for (m, n), f in zip(pairs, freqs)]
+    return ModeTable(fp, tuple(sorted(modes, key=lambda mo: (mo.frequency, mo.m, mo.n))))
 
 
 def uniform_modes(
@@ -214,14 +211,10 @@ def uniform_modes(
     if not (0 <= m_max <= 8 and 1 <= n_max <= 8):
         raise ValueError("m_max must be in [0, 8] and n_max in [1, 8]")
     profile = RadialDensityProfile(radius, tension, ((1.0, density),))
-    fp = profile.fingerprint()
     c = math.sqrt(tension / density)
-    modes = [
-        Mode(m, n, bessel_zero(m, n) * c / (2.0 * math.pi * radius), fp)
-        for m in range(m_max + 1)
-        for n in range(1, n_max + 1)
-    ]
-    return _sorted_table(fp, modes)
+    pairs = itertools.product(range(m_max + 1), range(1, n_max + 1))
+    freqs = [bessel_zero(m, n) * c / (2.0 * math.pi * radius) for m, n in pairs]
+    return _table(profile, m_max, n_max, freqs)
 
 
 def _ring_geometry(profiles) -> np.ndarray:
@@ -443,10 +436,7 @@ def _snap(
 
 
 def composite_modes(
-    profile: RadialDensityProfile,
-    m_max: int,
-    n_max: int,
-    f_ceiling: float,
+    profile: RadialDensityProfile, m_max: int, n_max: int, f_ceiling: float
 ) -> ModeTable:
     """Transfer-matrix eigenfrequencies of a ringed profile, merged over m.
 
@@ -454,36 +444,34 @@ def composite_modes(
     Sturm comparison root n of order m lies between the n-th root of a
     uniform membrane at the heaviest ring density and at the lightest;
     that bracket, widened by _BRACKET_WIDEN and capped at f_ceiling, is
-    halved, all (m, n) together in one _propagate call per step, until
-    N_m(lo) = n - 1 and N_m(hi) = n.  Each bracket then holds root n alone,
-    so n is its count, not its position, and _polish finishes them all in
-    one batch; _snap puts each root at the midpoint of its cell on the grid
-    of 38-significant-bit floats.  f_ceiling is only a limit: math.inf
-    solves every profile.
+    halved until N_m(lo) = n - 1 and N_m(hi) = n.  Each bracket then holds
+    root n alone, so n is its count, not its position; _polish finishes
+    them all, and _snap puts each root at the midpoint of its cell on the
+    grid of 38-significant-bit floats.  f_ceiling is only a limit:
+    math.inf solves every profile.
     Returns the n_max lowest roots of each order m <= m_max.
     Raises InsufficientCeiling when an order has fewer than n_max roots
     below f_ceiling (found is N_m(f_ceiling)), and ConvergenceError when an
     isolated bracket has D of one sign at both ends or no grid cell near a
     polished root brackets it.
     """
-    return _solve_stack([profile], m_max, n_max, f_ceiling)[0]
+    roots = _solve_stack([profile], m_max, n_max, f_ceiling)[0]
+    return _table(profile, m_max, n_max, roots)
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) -> list[ModeTable]:
-    """composite_modes of each profile in a stack of equal ring count.
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) -> np.ndarray:
+    """composite_modes' roots for each profile in a stack of equal ring count:
+    a row per profile in (m, n) order, m major, with no Mode built.
 
-    The brackets of every (profile, m, n) form one array, so each
-    bisection and polish step is one _propagate call for the whole stack,
-    as are the probes of all bracket ends before them.  Every bracket is
-    bisected and polished on its own, so each profile's table is
-    bit-identical to solving it alone.
-
-    near, if given, holds root guesses in (m, n) order, m major, one row
-    per profile or one row for all.  Each bracket then starts at
-    near * (1 -/+ _NEAR_WIDTH) clipped into its Sturm bracket, and an end
-    whose count shows root n beyond it falls back to its Sturm end; all
-    ends are probed in the one call.  Guesses move only the brackets: the
-    snap makes the table bit-identical to the cold solve's.
+    The brackets of every (profile, m, n) form one array, so each bisection
+    and polish step, and the probe of all bracket ends before them, is one
+    _propagate call for the whole stack.  Each bracket is solved on its
+    own, so each row is bit-identical to solving its profile alone.
+    near, if given, holds root guesses in that order, one row per profile
+    or one row for all: each bracket starts at near * (1 -/+ _NEAR_WIDTH)
+    clipped into its Sturm bracket, and an end whose count shows root n
+    beyond it falls back to its Sturm end.  Guesses move only the brackets:
+    the snap makes the roots bit-identical to the cold solve's.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -552,13 +540,7 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
     sign_below = np.where(d_lo != 0.0, np.sign(d_lo), -np.sign(d_hi))
     hi = np.where(d_lo == 0.0, lo, hi)
     roots = _polish(geometry, m, lo, hi, d_lo, d_hi)
-    roots = _snap(geometry, m, roots, sign_below).reshape(len(profiles), width)
-    tables = []
-    for profile, row in zip(profiles, roots):
-        fp = profile.fingerprint()
-        modes = [Mode(int(o), int(k), float(f), fp) for o, k, f in zip(m, n, row)]
-        tables.append(_sorted_table(fp, modes))
-    return tables
+    return _snap(geometry, m, roots, sign_below).reshape(len(profiles), width)
 
 
 def default_ceiling(profile: RadialDensityProfile, n_max: int, m_max: int = 8) -> float:

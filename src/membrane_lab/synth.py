@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._jsonfmt import integral
+from ._jsonfmt import integral, number
 from .errors import IndexOutOfRange, NyquistViolation
 from .membrane import Mode, ModeTable
 
@@ -97,15 +97,16 @@ class StrokeTemplate:
             excitations = tuple(
                 Excitation(
                     integral(e["mode"], "excitation mode"),
-                    float(e["amp"]),
-                    float(e["lambda_s"]),
-                    float(e.get("phase", 0.0)),
-                    float(e.get("glide_frac_per_s", 0.0)),
+                    number(e["amp"], "excitation amp"),
+                    number(e["lambda_s"], "excitation lambda_s"),
+                    number(e.get("phase", 0.0), "excitation phase"),
+                    number(e.get("glide_frac_per_s", 0.0), "excitation glide_frac_per_s"),
                 )
                 for e in doc.get("excitations", [])
             )
             noise = doc.get("noise")
-            burst = NoiseBurst(float(noise["amp"]), float(noise["dur_s"])) if noise else None
+            burst = NoiseBurst(number(noise["amp"], "noise amp"),
+                               number(noise["dur_s"], "noise dur_s")) if noise else None
             return cls(doc["name"], excitations, burst)
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed stroke template: {exc}") from exc

@@ -143,6 +143,16 @@ def leaf_paths(doc, prefix=()):
             yield from leaf_paths(value, prefix + (key,))
 
 
+def number_paths(doc, prefix=()):
+    """Key paths of every number in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from number_paths(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + (key,)
+
+
 def mutated(doc, path, value):
     doc = copy.deepcopy(doc)
     parent = doc
@@ -192,7 +202,27 @@ def layers_steps(tmp_path, steps):
     return run("layers", str(DATA / "uniform_profile.json"), str(path))
 
 
+# Each document of the tests below and a run that loads it.
+LOADERS = {
+    "profile": (PROFILE, lambda tmp_path, table_path, doc: modes_profile(tmp_path, doc)),
+    "table": (TABLE, lambda tmp_path, table_path, doc: synth_source(tmp_path, doc)),
+    "template": (TEMPLATE, lambda tmp_path, table_path, doc: synth_template(tmp_path, table_path, doc)),
+    "steps": (STEPS, lambda tmp_path, table_path, doc: layers_steps(tmp_path, doc)),
+}
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "kind, path",
+        [(kind, path) for kind, (doc, _) in LOADERS.items() for path in number_paths(doc)],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_number_given_as_a_string_is_data_error(self, tmp_path, table_path, capsys, kind, path):
+        # A number field takes a JSON number, never a string float() would parse.
+        doc, load = LOADERS[kind]
+        assert load(tmp_path, table_path, mutated(doc, path, "1.0")) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: ")
+
     @pytest.mark.parametrize(
         "noise", [{"amp": math.nan, "dur_s": 0.02}, {"amp": 0.3, "dur_s": math.inf}],
         ids=["amp-nan", "dur-inf"],
@@ -215,6 +245,14 @@ class TestMalformedInputs:
         assert synth_template(tmp_path, table_path, TEMPLATE) == 0
         assert run("analyze", str(tmp_path / "x.wav"), *flags) == 2
         assert capsys.readouterr().err.startswith(f"membrane-lab: {message}")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_ratio_tolerance_is_data_error(self, tmp_path, table_path, capsys, tol):
+        assert synth_template(tmp_path, table_path, TEMPLATE) == 0
+        assert run("analyze", str(tmp_path / "x.wav"), "--tol-shift", tol) == 2
+        assert capsys.readouterr().err.startswith(
+            "membrane-lab: ratio tolerance dheem_to_fundamental must be finite and >= 0"
+        )
 
     @pytest.mark.parametrize(
         "path, value",

@@ -124,6 +124,30 @@ class TestCharacteristicVerdicts:
         with pytest.raises(NonPositiveFrequency):
             characteristic_verdicts(107.0, -200.0, 300.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", range(3), ids=["dheem", "chappu", "nam"])
+    def test_non_finite_frequency_rejected(self, which, bad):
+        freqs = [107.0, 200.0, 300.0]
+        freqs[which] = bad
+        with pytest.raises(ValueError, match="finite frequencies"):
+            characteristic_verdicts(*freqs)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="ratio tolerance nam_to_chappu"):
+            characteristic_verdicts(107.0, 200.0, 300.0, tolerances={"nam_to_chappu": tol})
+
+    @pytest.mark.parametrize("target", [0.0, -1.07, math.nan, math.inf])
+    def test_bad_target_rejected(self, target):
+        with pytest.raises(ValueError, match="ratio target dheem_to_chappu"):
+            characteristic_verdicts(107.0, 200.0, 300.0, targets={"dheem_to_chappu": target})
+
+    def test_zero_tolerance_demands_the_exact_ratio(self):
+        exact = characteristic_verdicts(107.0, 200.0, 300.0, tolerances={"nam_to_chappu": 0.0})
+        assert exact[2].passed
+        off = characteristic_verdicts(107.0, 200.0, 301.0, tolerances={"nam_to_chappu": 0.0})
+        assert not off[2].passed
+
     def test_custom_tolerances(self):
         tight = characteristic_verdicts(
             107.0, 200.0, 300.0, tolerances={"dheem_to_fundamental": 0.01}

@@ -34,11 +34,14 @@ def _quadratic_assessment(x, overtones):
 
 def stub_objective(monkeypatch, objective):
     """Replace the search's objective with objective(profile, overtones),
-    applied to each profile of a stack."""
+    applied to each profile of a stack; the stub solves no roots."""
     monkeypatch.setattr(
         loading,
         "_stack_objective",
-        lambda profiles, overtones, near=None: [objective(p, overtones) for p in profiles],
+        lambda profiles, overtones, near=None: (
+            [objective(p, overtones) for p in profiles],
+            np.empty((len(profiles), 0)),
+        ),
     )
 
 
@@ -293,6 +296,28 @@ class TestOptimizer:
         monkeypatch.setattr(membrane, "_propagate", counted_propagate)
         optimize_two_region((0.104, 0.695), (1.229, 7.628), overtones=5, budget=2000)
         assert len(calls) <= 1600
+
+    def test_design_search_builds_no_mode(self, monkeypatch):
+        # The search scores root arrays: it makes no Mode (so no ModeTable
+        # of modes) and no fingerprint for a profile it solves.
+        from membrane_lab.membrane import Mode
+
+        built, fingerprinted = [], []
+        post_init, fingerprint = Mode.__post_init__, RadialDensityProfile.fingerprint
+
+        def counted_post_init(mode):
+            built.append(mode)
+            post_init(mode)
+
+        def counted_fingerprint(profile):
+            fingerprinted.append(profile)
+            return fingerprint(profile)
+
+        monkeypatch.setattr(Mode, "__post_init__", counted_post_init)
+        monkeypatch.setattr(RadialDensityProfile, "fingerprint", counted_fingerprint)
+        res = optimize_two_region(budget=200)
+        assert res.evaluations > 0
+        assert built == [] and fingerprinted == []
 
     def test_budget_accounting_consistent(self, quick_result):
         assert quick_result.evaluations <= 260

@@ -343,8 +343,27 @@ class TestCompositeModes:
         assert sum(points) < 1500
 
 
-def _hex_table(table):
-    return [(mo.m, mo.n, mo.frequency.hex(), mo.source_fingerprint) for mo in table]
+class TestTables:
+    @pytest.mark.parametrize(
+        "profile, table",
+        [
+            (two_ring(0.4, 3.7), lambda p: composite_modes(p, 4, 4, math.inf)),
+            (graded_profile(0.4, 1.2, 1.5, 16), lambda p: composite_modes(p, 3, 5, math.inf)),
+            (
+                RadialDensityProfile(0.3, 9.0, ((1.0, 40.0),)),
+                lambda p: uniform_modes(p.radius, p.tension, p.densities[0], 8, 8),
+            ),
+        ],
+        ids=["two-region", "graded-16-rings", "uniform"],
+    )
+    def test_table_is_sorted_and_carries_the_profile_fingerprint(self, profile, table):
+        modes = table(profile)
+        keys = [(mo.frequency, mo.m, mo.n) for mo in modes]
+        assert keys == sorted(keys)
+        m_max, n_max = max(mo.m for mo in modes), max(mo.n for mo in modes)
+        assert len(modes) == len({(mo.m, mo.n) for mo in modes}) == (m_max + 1) * n_max
+        assert modes.profile_fingerprint == profile.fingerprint()
+        assert {mo.source_fingerprint for mo in modes} == {profile.fingerprint()}
 
 
 class TestStackedSolve:
@@ -371,11 +390,14 @@ class TestStackedSolve:
     )
     def test_stack_equals_lone_solves_bit_for_bit(self, profiles, m_max, n_max):
         stacked = membrane._solve_stack(profiles, m_max, n_max, math.inf)
-        assert len(stacked) == len(profiles)
-        for profile, table in zip(profiles, stacked):
-            lone = composite_modes(profile, m_max, n_max, math.inf)
-            assert _hex_table(table) == _hex_table(lone)
-            assert table.profile_fingerprint == profile.fingerprint()
+        assert stacked.shape == (len(profiles), (m_max + 1) * n_max)
+        for profile, row in zip(profiles, stacked):
+            lone = {
+                (mo.m, mo.n): mo.frequency.hex()
+                for mo in composite_modes(profile, m_max, n_max, math.inf)
+            }
+            mn_order = [(m, n) for m in range(m_max + 1) for n in range(1, n_max + 1)]
+            assert [f.hex() for f in row] == [lone[mn] for mn in mn_order]
 
     def test_stack_refuses_unequal_ring_counts(self):
         profiles = [two_ring(0.4, 3.7), RadialDensityProfile(1.0, 1.0, ((1.0, 1.0),))]
@@ -529,11 +551,6 @@ class TestCountCertificate:
         assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
 
 
-def _mn_roots(table):
-    """A table's frequencies in _solve_stack's (m, n) order."""
-    return np.array([mo.frequency for mo in sorted(table, key=lambda mo: (mo.m, mo.n))])
-
-
 class TestWarmStart:
     @settings(max_examples=20, deadline=None)
     @given(profile=ring_profiles(), other=ring_profiles())
@@ -541,12 +558,11 @@ class TestWarmStart:
         # A guess near the roots, far from them or from another profile only
         # changes the brackets the solve starts from, never its table.
         cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
-        roots = _mn_roots(cold)
-        guesses = [roots * factor for factor in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-2, 1 + 1e-2, 1.5)]
-        guesses.append(_mn_roots(composite_modes(other, 4, 4, math.inf)))
+        guesses = [cold * factor for factor in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-2, 1 + 1e-2, 1.5)]
+        guesses.append(membrane._solve_stack([other], 4, 4, math.inf)[0])
         for guess in guesses:
             warm = membrane._solve_stack([profile], 4, 4, math.inf, near=guess)[0]
-            assert _hex_table(warm) == _hex_table(cold)
+            assert [f.hex() for f in warm] == [f.hex() for f in cold]
 
 
 def scipy_jy(orders, x):
