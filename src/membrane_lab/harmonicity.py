@@ -125,8 +125,12 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
 
 def ratio_limits(targets: dict | None = None, tolerances: dict | None = None) -> tuple[dict, dict]:
     """RATIO_TARGETS and RATIO_TOLERANCES with the given entries merged over
-    them.  Raises ValueError for a target that is not finite and > 0, or a
-    tolerance that is not finite and >= 0."""
+    them.  Raises ValueError for a name that is not one of theirs, a target
+    that is not finite and > 0, or a tolerance that is not finite and >= 0."""
+    for kind, given in (("target", targets), ("tolerance", tolerances)):
+        unknown = sorted(set(given or ()) - RATIO_TARGETS.keys())
+        if unknown:
+            raise ValueError(f"unknown ratio {kind} {unknown[0]!r}; known: {', '.join(RATIO_TARGETS)}")
     targets = {**RATIO_TARGETS, **(targets or {})}
     tolerances = {**RATIO_TOLERANCES, **(tolerances or {})}
     for name, target in targets.items():

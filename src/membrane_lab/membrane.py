@@ -10,9 +10,11 @@ with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
 
-One kernel, _propagate, serves the solver and mode_shape.  The solver,
-_solve_stack, counts, polishes and snaps the roots of a stack of profiles
-of equal ring count at once (see composite_modes, its one-profile case).
+One kernel, _propagate, serves the solver and mode_shape; asked for it,
+it also carries f dD/df, the exact slope the polish's Newton steps take.
+The solver, _solve_stack, counts, polishes and snaps the roots of a stack
+of profiles of equal ring count at once (see composite_modes, its
+one-profile case).
 It owns the (m, n) order of roots: they stay one array, a row per profile,
 m major, until a ModeTable is asked for, and only _table makes Modes.
 """
@@ -229,7 +231,7 @@ def _ring_geometry(profiles) -> np.ndarray:
     ]).transpose(0, 2, 1)
 
 
-def _propagate(geometry, orders, freqs):
+def _propagate(geometry, orders, freqs, *, slope=False):
     """Carry the regular solution outward across every ring boundary.
 
     geometry is (edges, slownesses) as _ring_geometry gives them, one row
@@ -238,10 +240,13 @@ def _propagate(geometry, orders, freqs):
     points from every order and every profile of a stack at once.  Ring i
     holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1,
     B_1 = 0.
-    Returns (coeffs, ends, D): coeffs[i] = (A_i, B_i, S_i); ends[i] pairs
-    the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius, x = k_i r
-    and u the displacement up to a positive factor, for _zero_count (ring
-    1 has no inner end); D is the rim displacement divided by S_N.
+    Returns (coeffs, ends, D, G): coeffs[i] = (A_i, B_i, S_i); ends[i]
+    pairs the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius,
+    x = k_i r and u the displacement up to a positive factor, for
+    _zero_count (ring 1 has no inner end); D is the rim displacement
+    divided by S_N; G is f dD/df divided by the same S_N if slope is set,
+    else None, so D / G is the Newton step of the rim displacement in
+    units of f.
 
     The recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2) makes
     du/dr + (m/r) u = k (A J_{m-1} + B Y_{m-1}); it is continuous wherever
@@ -251,6 +256,17 @@ def _propagate(geometry, orders, freqs):
     2 / (pi x)).  After every boundary (A, B) is divided by the positive
     factor max(|A|, |B|), folded into S, which keeps the sign of u and D
     and the phase of (A, B).
+
+    With slope, (f dA/df, f dB/df) cross each boundary through the same
+    solve.  As x = k r and f dk/df = k, f d/df takes J_m(x) to
+    x J_{m-1} - m J_m and J_{m-1}(x) to (m-1) J_{m-1} - x J_m (DLMF
+    10.6.2), and likewise Y.  The f d/df of u and of du/dr + (m/r) u are
+    continuous too; written out on either side of boundary i they differ
+    only in the part (f dA/df, f dB/df) give in place of (A, B) and in
+    r_i (k_{i+1}^2 - k_i^2) u, so the solve takes that part, with the
+    term added to its second entry.  They are divided by the same scale
+    as (A, B), ring 1's are zero, and at the rim
+    G = f dA/df J_m + f dB/df Y_m + x (A J_{m-1} + B Y_{m-1}) - m D.
     """
     edges, slowness = geometry
     ks = 2.0 * math.pi * freqs * slowness
@@ -259,8 +275,12 @@ def _propagate(geometry, orders, freqs):
     last = len(ks) - 1
     x = np.concatenate([ks * edges, ks[1:] * edges[:-1]])
     j, y, j1, y1 = integer_jy(orders, x)
+    if slope:
+        kk = ks * ks
+        source = (kk[1:] - kk[:-1]) * edges[:-1]
 
     A, B, S = 1.0, 0.0, 1.0
+    dA = dB = 0.0
     coeffs = [(A, B, S)]
     ends, inner = [], None
     for i in range(last):
@@ -272,17 +292,32 @@ def _propagate(geometry, orders, freqs):
         half_pi_rb = 0.5 * math.pi * edges[i]
         r = last + 1 + i
         inner = (x[r], j[r], y[r], u)
-        A = half_pi_rb * (ks[i + 1] * y1[r] * u - y[r] * w)
-        B = half_pi_rb * (j[r] * w - ks[i + 1] * j1[r] * u)
+        ky, kj = ks[i + 1] * y1[r], ks[i + 1] * j1[r]
+        A = half_pi_rb * (ky * u - y[r] * w)
+        B = half_pi_rb * (j[r] * w - kj * u)
         scale = np.maximum(np.abs(A), np.abs(B))
         scale = np.where(scale > 0.0, scale, 1.0)
         A = A / scale
         B = B / scale
         S = S * scale
         coeffs.append((A, B, S))
+        if slope:
+            dw = source[i] * u
+            solve = half_pi_rb / scale
+            if i:
+                du = dA * j[i] + dB * y[i]
+                dw = dw + ks[i] * (dA * j1[i] + dB * y1[i])
+                dA = (ky * du - y[r] * dw) * solve
+                dB = (j[r] * dw - kj * du) * solve
+            else:  # ring 1's (dA, dB) is (0, 0)
+                dw = dw * solve
+                dA, dB = -(y[r] * dw), j[r] * dw
     D = A * j[last] + B * y[last]
     ends.append((inner, (x[last], j[last], y[last], D)))
-    return coeffs, ends, D
+    if not slope:
+        return coeffs, ends, D, None
+    G = dA * j[last] + dB * y[last] + x[last] * (A * j1[last] + B * y1[last]) - orders * D
+    return coeffs, ends, D, G
 
 
 def _crossings_below(m, phi, x, j, y, u):
@@ -326,7 +361,7 @@ def _zero_count(orders, coeffs, ends) -> np.ndarray:
 
 def _probe(geometry, orders, freqs):
     """The mode count N_m(f) and the rim displacement D at each point."""
-    coeffs, ends, d = _propagate(geometry, orders, freqs)
+    coeffs, ends, d, _ = _propagate(geometry, orders, freqs)
     return _zero_count(orders, coeffs, ends), d
 
 
@@ -341,50 +376,83 @@ def _polish(
     """Shrink isolated brackets, one per point of geometry, onto their roots.
 
     Each bracket holds one root, at a sign change of D or at an end where
-    D is exactly zero.  Illinois false position (Dowell & Jarratt 1972):
-    the next point is where the chord through the bracket ends crosses
-    zero, it replaces the end of its own sign, and an end kept by two
-    chord steps in a row has its D halved, so the far end moves too.  As a
-    bisection safeguard the point is pulled toward the midpoint just far
-    enough that neither part is wider than bisection would have left the
-    bracket _POLISH_SLACK steps earlier (a pulled point is no chord step),
-    so no bracket takes more than _POLISH_SLACK steps beyond bisection's
-    count.  As in Brent's method the point is then kept at least a quarter
-    of BISECT_RTOL of the midpoint inside both ends, so a chord that lands
-    on or beside an end on the root closes the bracket in one step (only
-    a NaN chord falls back to the midpoint).  Each step evaluates D alone,
-    in one _propagate call, at only the brackets still wider than
-    BISECT_RTOL of their midpoint; no bracket's steps depend on another's.
-    Returns the midpoints of the final brackets.
+    D is exactly zero.  Safeguarded Newton (rtsafe, Press et al.,
+    Numerical Recipes 9.4) on the exact f dD/df that _propagate carries:
+    the first point is where the chord through the bracket ends crosses
+    zero (the midpoint if that is NaN).  Each later one is the Newton
+    point of the shortest Newton step from any point so far, if it lies
+    strictly inside the bracket and that step is at most half the step
+    before the last, and else the midpoint; so a point pulled off its
+    Newton step by the safeguard below does not lose it.  From
+    the third step on the point aims 1e-3 of the Newton step past the
+    Newton point, so that it lands beyond the root and the far end moves
+    too.  Every point replaces the bracket end of its own sign, and an
+    exact zero closes the bracket on it.  As a bisection safeguard the
+    point is pulled toward the midpoint just far enough that neither part
+    is wider than bisection would have left the bracket _POLISH_SLACK
+    steps earlier, so no bracket takes more than _POLISH_SLACK steps
+    beyond bisection's count.  As in Brent's method the point is then
+    kept at least a quarter of BISECT_RTOL of the midpoint inside both
+    ends, so a point that lands on or beside an end on the root closes
+    the bracket in one step.  A bracket is done when it is no wider than
+    BISECT_RTOL of its midpoint or its shortest Newton step is at most a
+    quarter of that.  Each step evaluates D and f dD/df, in one
+    _propagate call, at only the brackets not done; no bracket's steps
+    depend on another's.  Returns each bracket's Newton point of its
+    shortest step (the midpoint if it took none) clipped into its final
+    bracket.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
-    start_width = hi - lo
-    # Did the last step take the chord point and keep lo (or hi)?
-    kept_lo = np.zeros(lo.shape, dtype=bool)
-    kept_hi = np.zeros(lo.shape, dtype=bool)
+    roots = np.empty(lo.size)
+    # The brackets still open, as indices into roots, and for each its
+    # start width, its last point, the lengths of the step that reached it
+    # and of the step before (rtsafe starts both at the bracket's width),
+    # and of all the Newton steps from its points so far the shortest, as
+    # the correction its point less the Newton point, and that Newton point
+    # (the midpoint before any).
+    pending = np.arange(lo.size)
+    width = taken = before = hi - lo
+    x = newton = 0.5 * (lo + hi)
+    fix = np.full(lo.size, np.inf)
     for step in range(BISECT_CAP):
         mid = 0.5 * (lo + hi)
-        act = np.flatnonzero(hi - lo > BISECT_RTOL * np.abs(mid))
-        if not act.size:
-            return mid
-        a, b, fa, fb = lo[act], hi[act], d_lo[act], d_hi[act]
-        chord = (a * fb - b * fa) / (fb - fa)
-        allowed = start_width[act] * 2.0 ** (_POLISH_SLACK - step - 1)
-        x = np.where(np.isnan(chord), mid[act], chord)
-        x = np.clip(x, b - allowed, a + allowed)
+        # Frequencies are positive, and so is every tolerance.
+        tol = BISECT_RTOL * mid
+        going = (hi - lo > tol) & (np.abs(fix) > 0.25 * tol)
+        if not going.all():
+            shut = ~going
+            roots[pending[shut]] = np.minimum(np.maximum(newton[shut], lo[shut]), hi[shut])
+            if not going.any():
+                return roots
+            state = pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken, before
+            pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken, before = (
+                a[..., going] for a in state
+            )
+            mid, tol = mid[going], tol[going]
+        if step:
+            aim = newton - 1e-3 * fix if step > 1 else newton
+            aim = np.where((lo < aim) & (aim < hi) & (2.0 * np.abs(fix) <= before), aim, mid)
+        else:
+            aim = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
+            aim = np.where(np.isnan(aim), mid, aim)
+        if step >= _POLISH_SLACK:  # before, allowed >= width and cannot bind
+            allowed = width * 2.0 ** (_POLISH_SLACK - step - 1)
+            aim = np.minimum(np.maximum(aim, hi - allowed), lo + allowed)
         # Brent's closing step: a point within delta of an end moves delta
         # inside, so a bracket with one end on the root closes at once.
-        delta = 0.25 * BISECT_RTOL * np.abs(mid[act])
-        x = np.clip(x, a + delta, b - delta)
-        *_, fx = _propagate(geometry[..., act], orders[act], x)
-        move_hi = fa * fx < 0.0
+        delta = 0.25 * tol
+        aim = np.minimum(np.maximum(aim, lo + delta), hi - delta)
+        _, _, fx, gx = _propagate(geometry, orders, aim, slope=True)
+        move_hi = d_lo * fx < 0.0
         # An exact zero closes the bracket on it.
-        lo[act] = np.where(move_hi, a, x)
-        hi[act] = np.where(move_hi | (fx == 0.0), x, b)
-        d_lo[act] = np.where(move_hi, np.where(kept_lo[act], 0.5 * fa, fa), fx)
-        d_hi[act] = np.where(move_hi, fx, np.where(kept_hi[act], 0.5 * fb, fb))
-        kept_lo[act] = move_hi & (x == chord)
-        kept_hi[act] = ~move_hi & (x == chord)
+        lo, hi = np.where(move_hi, lo, aim), np.where(move_hi | (fx == 0.0), aim, hi)
+        d_lo, d_hi = np.where(move_hi, d_lo, fx), np.where(move_hi, fx, d_hi)
+        correction = aim * fx / gx
+        shorter = np.abs(correction) < np.abs(fix)
+        newton, fix = np.where(shorter, aim - correction, newton), np.where(shorter, correction, fix)
+        if step:
+            before, taken = taken, np.abs(aim - x)
+        x = aim
     raise ConvergenceError(
         f"bracketed root failed to converge in {BISECT_CAP} polish steps"
     )
@@ -409,7 +477,7 @@ def _snap(
     lo = np.ascontiguousarray(roots, dtype=float).view(np.int64) & ~(step - 1)
     hi = lo + step
     ends = np.concatenate([lo, hi]).view(float)
-    d = _propagate(geometry[..., np.tile(np.arange(lo.size), 2)], np.tile(orders, 2), ends)[-1]
+    d = _propagate(geometry[..., np.tile(np.arange(lo.size), 2)], np.tile(orders, 2), ends)[2]
     d_lo, d_hi = d[: lo.size] * below, d[lo.size :] * below
     out = np.empty(lo.size)
     act = np.arange(lo.size)
@@ -428,7 +496,7 @@ def _snap(
         act, lo, hi, d_lo, d_hi = (a[~done] for a in (act, lo, hi, d_lo, d_hi))
         lo, hi = np.where(up, hi, lo - step), np.where(up, hi + step, lo)
         fresh = np.where(up, hi, lo).view(float)
-        d_new = _propagate(geometry[..., act], orders[act], fresh)[-1] * below[act]
+        d_new = _propagate(geometry[..., act], orders[act], fresh)[2] * below[act]
         d_lo, d_hi = np.where(up, d_hi, d_new), np.where(up, d_new, d_lo)
     raise ConvergenceError(
         f"D does not change sign within {_SNAP_WALK} grid cells of a polished root"
@@ -569,7 +637,7 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
             f"(mode fingerprint {mode.source_fingerprint!r}, profile {fp!r})"
         )
     geometry = _ring_geometry([profile])[..., 0]
-    coeffs, _, _ = _propagate(geometry, mode.m, mode.frequency)
+    coeffs, *_ = _propagate(geometry, mode.m, mode.frequency)
     edges, slowness = geometry
     ks = 2.0 * math.pi * mode.frequency * slowness
 

@@ -142,6 +142,12 @@ class TestCharacteristicVerdicts:
         with pytest.raises(ValueError, match="ratio target dheem_to_chappu"):
             characteristic_verdicts(107.0, 200.0, 300.0, targets={"dheem_to_chappu": target})
 
+    @pytest.mark.parametrize("kind", ["targets", "tolerances"])
+    def test_unknown_ratio_name_rejected(self, kind):
+        # A misspelled name would otherwise leave its ratio on the default.
+        with pytest.raises(ValueError, match="unknown ratio .*'dheem_chappu'"):
+            characteristic_verdicts(107.0, 200.0, 300.0, **{kind: {"dheem_chappu": 0.5}})
+
     def test_zero_tolerance_demands_the_exact_ratio(self):
         exact = characteristic_verdicts(107.0, 200.0, 300.0, tolerances={"nam_to_chappu": 0.0})
         assert exact[2].passed

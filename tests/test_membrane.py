@@ -35,15 +35,16 @@ def two_ring(fraction, ratio, radius=1.0, tension=1.0, field=1.0):
 STUB_PROFILE = RadialDensityProfile(1.0, 9.0, ((0.5, 400.0), (1.0, 1.0)))
 
 
-def stub_solution(monkeypatch, residual, count):
+def stub_solution(monkeypatch, residual, derivative, count):
     """Replace the kernel with D = residual(f), the same for every order, and
-    the mode count with count(f); returns the frequency arrays evaluated."""
+    f dD/df = f derivative(f) when asked for, and the mode count with
+    count(f); returns the frequency arrays evaluated."""
     calls = []
 
-    def fake_propagate(geometry, orders, freqs):
+    def fake_propagate(geometry, orders, freqs, slope=False):
         calls.append(freqs)
         _, freqs = np.broadcast_arrays(orders, np.asarray(freqs, dtype=float))
-        return [], freqs, residual(freqs)
+        return [], freqs, residual(freqs), freqs * derivative(freqs) if slope else None
 
     monkeypatch.setattr(membrane, "_propagate", fake_propagate)
     monkeypatch.setattr(membrane, "_zero_count", lambda orders, coeffs, freqs: count(freqs))
@@ -55,6 +56,10 @@ def stub_roots(monkeypatch, *roots):
     return stub_solution(
         monkeypatch,
         lambda f: np.prod([f - r for r in roots], axis=0),
+        lambda f: np.sum(
+            [np.prod([f - r for r in roots[:i] + roots[i + 1 :]], axis=0) for i in range(len(roots))],
+            axis=0,
+        ),
         lambda f: np.sum([f > r for r in roots], axis=0),
     )
 
@@ -330,9 +335,9 @@ class TestCompositeModes:
             received.append(orders.size)
             return polish(geometry, orders, *rest)
 
-        def counted_propagate(geometry, orders, freqs):
-            out = propagate(geometry, orders, freqs)
-            points.append(out[-1].size)
+        def counted_propagate(geometry, orders, freqs, **kwargs):
+            out = propagate(geometry, orders, freqs, **kwargs)
+            points.append(out[2].size)
             return out
 
         monkeypatch.setattr(membrane, "_polish", counted_polish)
@@ -433,20 +438,23 @@ class TestPolish:
         return steps
 
     @pytest.mark.parametrize(
-        "residual",
+        "residual, derivative, most",
         [
-            lambda f: np.expm1(200.0 * (f - 1.003)),  # D(lo) -0.45, D(hi) 1.2e4
-            lambda f: (f - 1.003) ** 3,  # flat at the root
+            # D(lo) -0.45, D(hi) 1.2e4; Illinois false position took 18 calls.
+            (lambda f: np.expm1(200.0 * (f - 1.003)), lambda f: 200.0 * np.exp(200.0 * (f - 1.003)), 8),
+            # flat at the root
+            (lambda f: (f - 1.003) ** 3, lambda f: 3.0 * (f - 1.003) ** 2, math.inf),
         ],
         ids=["asymmetric", "cubic"],
     )
-    def test_converges_within_bisection_count(self, monkeypatch, residual):
-        calls = stub_solution(monkeypatch, residual, None)
+    def test_converges_within_bisection_count(self, monkeypatch, residual, derivative, most):
+        calls = stub_solution(monkeypatch, residual, derivative, None)
         lo, hi = np.array([1.0]), np.array([1.05])
         geometry = np.ones((2, 1, 1))  # one ring, ignored by the stub
         root = membrane._polish(geometry, np.zeros(1), lo, hi, residual(lo), residual(hi))
         assert abs(root[0] - 1.003) <= 1e-11 * 1.003
         assert len(calls) <= self.bisection_steps(residual, 1.0, 1.05) + membrane._POLISH_SLACK
+        assert len(calls) <= most
 
     def test_exact_zero_at_a_bisection_point_comes_back_unchanged(self, monkeypatch):
         # The first bisection point of (m, n) = (0, 1) depends only on its
@@ -480,6 +488,7 @@ class TestPolish:
         stub_solution(
             monkeypatch,
             lambda f: np.sin(math.pi * (f - 0.16) / 0.15),
+            lambda f: math.pi / 0.15 * np.cos(math.pi * (f - 0.16) / 0.15),
             lambda f: np.maximum(np.ceil((f - 0.16) / 0.15), 0.0).astype(int),
         )
         table = composite_modes(STUB_PROFILE, 1, 3, 10.0)
@@ -497,7 +506,7 @@ class TestPolish:
             grid = (np.asarray(f, dtype=float).view(np.int64) & (2 ** 15 - 1)) == 0
             return np.where(grid, on_grid, f - 1.1)
 
-        stub_solution(monkeypatch, residual, lambda f: (f > 1.1).astype(int))
+        stub_solution(monkeypatch, residual, np.ones_like, lambda f: (f > 1.1).astype(int))
         with pytest.raises(ConvergenceError, match="grid cells"):
             composite_modes(STUB_PROFILE, 0, 1, 3.0)
 
@@ -506,7 +515,12 @@ class TestPolish:
         # isolated bracket keeps one sign of D, and nothing is polished.
         polished = []
         monkeypatch.setattr(membrane, "_polish", lambda *args: polished.append(args))
-        stub_solution(monkeypatch, lambda f: (f - 1.0) ** 2 + 1e-3, lambda f: (f > 1.0).astype(int))
+        stub_solution(
+            monkeypatch,
+            lambda f: (f - 1.0) ** 2 + 1e-3,
+            lambda f: 2.0 * (f - 1.0),
+            lambda f: (f > 1.0).astype(int),
+        )
         with pytest.raises(ConvergenceError, match="one sign"):
             composite_modes(STUB_PROFILE, 0, 1, 3.0)
         assert polished == []
@@ -537,7 +551,7 @@ class TestCountCertificate:
 
         # N_m is n - 1 just below root n and n just above it.
         for factor, expected in ((1.0 - 1e-9, n - 1), (1.0 + 1e-9, n)):
-            coeffs, ends, _ = membrane._propagate(membrane._ring_geometry([profile]), m, f * factor)
+            coeffs, ends, _, _ = membrane._propagate(membrane._ring_geometry([profile]), m, f * factor)
             assert np.array_equal(membrane._zero_count(m, coeffs, ends), expected)
 
         # Doubling one ring's density lowers every mode up to m = 2.  The
@@ -588,7 +602,7 @@ class TestBesselLadderInKernel:
         geometry = membrane._ring_geometry(profiles)[..., [0, 0, 0, 1, 1, 1]]
         orders = np.array([0.0, 3.0, 8.0, 1.0, 5.0, 12.0])
         freqs = np.array([0.3, 0.4, 0.9, 0.2, 1.1, 2.5])
-        _, ends, _ = membrane._propagate(geometry, orders, freqs)
+        _, ends, _, _ = membrane._propagate(geometry, orders, freqs)
         args = np.array([end[0] for pair in ends for end in pair if end is not None])
         low = args <= orders
         assert 0 < low.sum() < low.size
@@ -629,6 +643,32 @@ class TestBesselLadderInKernel:
             assert [(mo.m, mo.n) for mo in table] == [(mo.m, mo.n) for mo in reference]
             rel = np.abs(table.frequencies - reference.frequencies) / reference.frequencies
             assert rel.max() <= 1e-10
+
+
+class TestKernelSlope:
+    @pytest.mark.parametrize("rings", [2, 9, 17, 33])
+    def test_slope_matches_central_differences_at_solved_roots(self, rings):
+        # f dD/df is carried through every boundary's solve; central
+        # differences of the unscaled rim displacement S_N D agree with it
+        # far inside 1e-6 (measured 1e-9 here) at every root with m <= 8.
+        rng = np.random.default_rng(rings)
+        edges = np.cumsum(rng.uniform(1.0, 10.0, rings))
+        edges /= edges[-1]
+        edges[-1] = 1.0
+        profile = RadialDensityProfile(0.3, 900.0, tuple(zip(edges, rng.uniform(1.0, 25.0, rings))))
+        f = membrane._solve_stack([profile], 8, 3, math.inf)[0]
+        m = np.repeat(np.arange(9), 3)
+        geometry = membrane._ring_geometry([profile])[..., np.zeros(m.size, dtype=int)]
+
+        def rim(freqs):
+            coeffs, _, d, _ = membrane._propagate(geometry, m, freqs)
+            return coeffs[-1][2] * d
+
+        coeffs, _, _, slope = membrane._propagate(geometry, m, f, slope=True)
+        exact = coeffs[-1][2] * slope
+        h = 1e-6
+        central = (rim(f * (1.0 + h)) - rim(f * (1.0 - h))) / (2.0 * h)
+        assert np.all(np.abs(central - exact) <= 1e-6 * np.abs(exact))
 
 
 class TestModeShape:
