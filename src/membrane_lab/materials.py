@@ -65,25 +65,40 @@ def transmission_coefficient(z1: float, z2: float) -> float:
 
 
 def load_samples_csv(text: str) -> list[MaterialSample]:
-    """Parse `name,E_pa,rho_kg_m3[,v_m_s]` rows."""
-    samples = []
+    """Parse `name,E_pa,rho_kg_m3[,v_m_s]` rows.
+
+    Raises ValueError for a header that names a column twice and, naming
+    the row, for a row with more or fewer fields than the header, a value
+    MaterialSample refuses, no name, or a name already given, which would
+    merge two rows of the transmission matrix into one.
+    """
+    samples: dict[str, MaterialSample] = {}
     reader = csv.DictReader(io.StringIO(text))
     required = {"name", "E_pa", "rho_kg_m3"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ValueError(f"samples CSV needs columns {sorted(required)}")
+    if len(set(reader.fieldnames)) != len(reader.fieldnames):
+        raise ValueError("samples CSV header names a column twice")
     for row in reader:
+        name = (row["name"] or "").strip()
+        where = f"samples CSV line {reader.line_num} ({name!r})"
+        # DictReader keys extra fields under None and fills missing ones with None.
+        if None in row or None in row.values():
+            raise ValueError(f"{where} does not have the header's {len(reader.fieldnames)} fields")
+        if not name:
+            raise ValueError(f"{where} has no material name")
+        if name in samples:
+            raise ValueError(f"{where} repeats a material name")
         v = row.get("v_m_s") or None
-        samples.append(
-            MaterialSample(
-                row["name"].strip(),
-                float(row["E_pa"]),
-                float(row["rho_kg_m3"]),
-                float(v) if v else None,
+        try:
+            samples[name] = MaterialSample(
+                name, float(row["E_pa"]), float(row["rho_kg_m3"]), float(v) if v else None
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     if not samples:
         raise ValueError("samples CSV contains no rows")
-    return samples
+    return list(samples.values())
 
 
 def material_report(samples: list[MaterialSample]) -> dict:

@@ -12,9 +12,9 @@ where the propagated solution vanishes at the rim are the eigenfrequencies.
 
 One kernel, _propagate, serves the solver and mode_shape; asked for it,
 it also carries f dD/df, the exact slope the polish's Newton steps take.
-The solver, _solve_stack, counts, polishes and snaps the roots of a stack
-of profiles of equal ring count at once (see composite_modes, its
-one-profile case).
+The solver, _solve_stack, counts the roots of a stack of profiles of
+equal ring count at once, and polishes each into its cell on the grid of
+38-significant-bit floats (see composite_modes, its one-profile case).
 It owns the (m, n) order of roots: they stay one array, a row per profile,
 m major, until a ModeTable is asked for, and only _table makes Modes.
 """
@@ -34,7 +34,6 @@ from ._jsonfmt import integral, number
 from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero, integer_jy
 from .errors import ConvergenceError, DomainError, InsufficientCeiling, ProfileMismatch
 
-BISECT_RTOL = 1e-11
 BISECT_CAP = 200
 # Steps the polish may fall behind bisection of the same bracket.
 _POLISH_SLACK = 4
@@ -43,12 +42,10 @@ _POLISH_SLACK = 4
 _BRACKET_WIDEN = 1.01
 # Relative half-width of a bracket started from a root guess.
 _NEAR_WIDTH = 1e-3
-# Every root is snapped to a cell of the grid of 38-significant-bit floats,
-# 2^-38 to 2^-37 (3.6e-12 to 7.3e-12) of the root wide, inside BISECT_RTOL;
-# a float64 is on that grid when its low _SNAP_BITS mantissa bits are zero.
-_SNAP_BITS = 53 - 38
-# Cells the snap may walk from the polished root's own before it gives up.
-_SNAP_WALK = 4
+# Every root is the midpoint of its cell on the grid of 38-significant-bit
+# floats, cells 2^-38 to 2^-37 (3.6e-12 to 7.3e-12) of the root wide; a
+# float64 is on that grid when its low _GRID_BITS mantissa bits are zero.
+_GRID_BITS = 53 - 38
 
 
 @dataclass(frozen=True)
@@ -373,37 +370,40 @@ def _polish(
     d_lo: np.ndarray,
     d_hi: np.ndarray,
 ) -> np.ndarray:
-    """Shrink isolated brackets, one per point of geometry, onto their roots.
+    """Shrink isolated brackets, one per point of geometry, onto their
+    roots' cells on the grid of 38-significant-bit floats.
 
     Each bracket holds one root, at a sign change of D or at an end where
     D is exactly zero.  Safeguarded Newton (rtsafe, Press et al.,
-    Numerical Recipes 9.4) on the exact f dD/df that _propagate carries:
-    the first point is where the chord through the bracket ends crosses
-    zero (the midpoint if that is NaN).  Each later one is the Newton
-    point of the shortest Newton step from any point so far, if it lies
-    strictly inside the bracket and that step is at most half the step
-    before the last, and else the midpoint; so a point pulled off its
-    Newton step by the safeguard below does not lose it.  From
-    the third step on the point aims 1e-3 of the Newton step past the
-    Newton point, so that it lands beyond the root and the far end moves
-    too.  Every point replaces the bracket end of its own sign, and an
-    exact zero closes the bracket on it.  As a bisection safeguard the
-    point is pulled toward the midpoint just far enough that neither part
-    is wider than bisection would have left the bracket _POLISH_SLACK
-    steps earlier, so no bracket takes more than _POLISH_SLACK steps
-    beyond bisection's count.  As in Brent's method the point is then
-    kept at least a quarter of BISECT_RTOL of the midpoint inside both
-    ends, so a point that lands on or beside an end on the root closes
-    the bracket in one step.  A bracket is done when it is no wider than
-    BISECT_RTOL of its midpoint or its shortest Newton step is at most a
-    quarter of that.  Each step evaluates D and f dD/df, in one
-    _propagate call, at only the brackets not done; no bracket's steps
-    depend on another's.  Returns each bracket's Newton point of its
-    shortest step (the midpoint if it took none) clipped into its final
-    bracket.
+    Numerical Recipes 9.4) on the exact f dD/df that _propagate carries,
+    with every point a grid point strictly inside the bracket.  The first
+    aim is where the chord through the bracket ends crosses zero (the
+    midpoint if that is NaN).  Each later one is the Newton point of the
+    shortest Newton step from any point so far, if it lies strictly inside
+    the bracket and that step is at most half the step before the last,
+    and else the midpoint; so a point pulled off its Newton step by the
+    safeguard below does not lose it.  As a bisection safeguard the aim is
+    pulled toward the midpoint just far enough that neither part is wider
+    than bisection would have left the bracket _POLISH_SLACK steps
+    earlier.  A Newton aim is then rounded onto the grid away from the last
+    point, so that it lands beyond the root and the far end moves too, and
+    any other to the nearest grid point; the point is that, clipped to the
+    first and last grid points inside the bracket.  It replaces the
+    bracket end of its own sign, and an exact zero closes the bracket on
+    it.  A bracket is done when no grid point lies strictly inside it, so
+    each step takes at least one grid point out.  Each step evaluates D
+    and f dD/df, in one _propagate call, at only the brackets not done; no
+    bracket's steps depend on another's.  Returns each bracket's final
+    cell's midpoint, or the grid point where D is exactly zero: a root
+    depends on its profile, not on the bracket it was polished from.
+    Raises ConvergenceError where D is NaN at a point.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
     roots = np.empty(lo.size)
+    # A positive float64 is on the grid when its low _GRID_BITS mantissa
+    # bits are zero; as integers, grid points are multiples of cell.
+    cell = np.int64(1 << _GRID_BITS)
+    cut = ~(cell - 1)
     # The brackets still open, as indices into roots, and for each its
     # start width, its last point, the lengths of the step that reached it
     # and of the step before (rtsafe starts both at the bracket's width),
@@ -415,34 +415,38 @@ def _polish(
     x = newton = 0.5 * (lo + hi)
     fix = np.full(lo.size, np.inf)
     for step in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        # Frequencies are positive, and so is every tolerance.
-        tol = BISECT_RTOL * mid
-        going = (hi - lo > tol) & (np.abs(fix) > 0.25 * tol)
+        # The grid points at and just above lo, and the last one below hi.
+        floor = lo.view(np.int64) & cut
+        first, last = floor + cell, (hi.view(np.int64) - 1) & cut
+        going = first <= last
         if not going.all():
             shut = ~going
-            roots[pending[shut]] = np.minimum(np.maximum(newton[shut], lo[shut]), hi[shut])
+            # The cell [floor, first] holds the bracket, or floor is a zero.
+            g, h = floor[shut].view(float), hi[shut]
+            roots[pending[shut]] = np.where(g == h, h, 0.5 * (g + first[shut].view(float)))
             if not going.any():
                 return roots
-            state = pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken, before
-            pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken, before = (
-                a[..., going] for a in state
-            )
-            mid, tol = mid[going], tol[going]
+            state = (pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken,
+                     before, first, last)
+            (pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken,
+             before, first, last) = (a[..., going] for a in state)
+        mid = 0.5 * (lo + hi)
         if step:
-            aim = newton - 1e-3 * fix if step > 1 else newton
-            aim = np.where((lo < aim) & (aim < hi) & (2.0 * np.abs(fix) <= before), aim, mid)
+            bold = (lo < newton) & (newton < hi) & (2.0 * np.abs(fix) <= before)
+            aim = np.where(bold, newton, mid)
+            # Added before the cut: cell - 1 rounds up, 0 down, half a cell to nearest.
+            nudge = np.where(bold, np.where(newton > x, cell - 1, 0), cell >> 1)
         else:
             aim = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
             aim = np.where(np.isnan(aim), mid, aim)
+            nudge = cell >> 1
         if step >= _POLISH_SLACK:  # before, allowed >= width and cannot bind
             allowed = width * 2.0 ** (_POLISH_SLACK - step - 1)
             aim = np.minimum(np.maximum(aim, hi - allowed), lo + allowed)
-        # Brent's closing step: a point within delta of an end moves delta
-        # inside, so a bracket with one end on the root closes at once.
-        delta = 0.25 * tol
-        aim = np.minimum(np.maximum(aim, lo + delta), hi - delta)
+        aim = np.minimum(np.maximum((aim.view(np.int64) + nudge) & cut, first), last).view(float)
         _, _, fx, gx = _propagate(geometry, orders, aim, slope=True)
+        if np.isnan(fx).any():
+            raise ConvergenceError("D is NaN at a polish point")
         move_hi = d_lo * fx < 0.0
         # An exact zero closes the bracket on it.
         lo, hi = np.where(move_hi, lo, aim), np.where(move_hi | (fx == 0.0), aim, hi)
@@ -458,51 +462,6 @@ def _polish(
     )
 
 
-def _snap(
-    geometry: np.ndarray, orders: np.ndarray, roots: np.ndarray, below: np.ndarray
-) -> np.ndarray:
-    """Move polished roots onto the grid of 38-significant-bit floats.
-
-    Each root's cell on that grid, [g, g+] with g the root with its low
-    _SNAP_BITS mantissa bits cleared, has D evaluated at both ends in one
-    _propagate call.  below is the sign D takes just below each root.
-    While both ends of a cell lie on one side of the root the cell steps
-    one grid point toward it, one _propagate call per step, until D
-    changes sign across it.  Returns that cell's midpoint, or a grid point
-    where D is exactly zero, so a root depends on its profile and not on
-    the bracket it was polished from.  Raises ConvergenceError when no
-    cell within _SNAP_WALK steps brackets the root.
-    """
-    step = np.int64(1 << _SNAP_BITS)
-    lo = np.ascontiguousarray(roots, dtype=float).view(np.int64) & ~(step - 1)
-    hi = lo + step
-    ends = np.concatenate([lo, hi]).view(float)
-    d = _propagate(geometry[..., np.tile(np.arange(lo.size), 2)], np.tile(orders, 2), ends)[2]
-    d_lo, d_hi = d[: lo.size] * below, d[lo.size :] * below
-    out = np.empty(lo.size)
-    act = np.arange(lo.size)
-    for walked in range(_SNAP_WALK + 1):
-        done = (d_lo == 0.0) | (d_hi == 0.0) | ((d_lo > 0.0) & (d_hi < 0.0))
-        g_lo, g_hi = lo.view(float), hi.view(float)
-        out[act[done]] = np.where(
-            d_lo == 0.0, g_lo, np.where(d_hi == 0.0, g_hi, 0.5 * (g_lo + g_hi))
-        )[done]
-        if done.all():
-            return out
-        # A cell with both ends below the root steps up, one above it down.
-        up = d_hi[~done] > 0.0
-        if walked == _SNAP_WALK or not (up | (d_lo[~done] < 0.0)).all():
-            break
-        act, lo, hi, d_lo, d_hi = (a[~done] for a in (act, lo, hi, d_lo, d_hi))
-        lo, hi = np.where(up, hi, lo - step), np.where(up, hi + step, lo)
-        fresh = np.where(up, hi, lo).view(float)
-        d_new = _propagate(geometry[..., act], orders[act], fresh)[2] * below[act]
-        d_lo, d_hi = np.where(up, d_hi, d_new), np.where(up, d_new, d_lo)
-    raise ConvergenceError(
-        f"D does not change sign within {_SNAP_WALK} grid cells of a polished root"
-    )
-
-
 def composite_modes(
     profile: RadialDensityProfile, m_max: int, n_max: int, f_ceiling: float
 ) -> ModeTable:
@@ -514,14 +473,14 @@ def composite_modes(
     that bracket, widened by _BRACKET_WIDEN and capped at f_ceiling, is
     halved until N_m(lo) = n - 1 and N_m(hi) = n.  Each bracket then holds
     root n alone, so n is its count, not its position; _polish finishes
-    them all, and _snap puts each root at the midpoint of its cell on the
-    grid of 38-significant-bit floats.  f_ceiling is only a limit:
-    math.inf solves every profile.
+    them all, each root at the midpoint of its cell on the grid of
+    38-significant-bit floats.  f_ceiling is only a limit: math.inf solves
+    every profile.
     Returns the n_max lowest roots of each order m <= m_max.
     Raises InsufficientCeiling when an order has fewer than n_max roots
     below f_ceiling (found is N_m(f_ceiling)), and ConvergenceError when an
-    isolated bracket has D of one sign at both ends or no grid cell near a
-    polished root brackets it.
+    isolated bracket has D of one sign at both ends, or D is NaN at a
+    bracket end or a polish point.
     """
     roots = _solve_stack([profile], m_max, n_max, f_ceiling)[0]
     return _table(profile, m_max, n_max, roots)
@@ -539,7 +498,7 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
     or one row for all: each bracket starts at near * (1 -/+ _NEAR_WIDTH)
     clipped into its Sturm bracket, and an end whose count shows root n
     beyond it falls back to its Sturm end.  Guesses move only the brackets:
-    the snap makes the roots bit-identical to the cold solve's.
+    each root is its grid cell's, so bit-identical to the cold solve's.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -602,13 +561,12 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
         lo[below], n_lo[below], d_lo[below] = mid[~up], n_mid[~up], d_mid[~up]
     else:
         raise ConvergenceError(f"modes not isolated in {BISECT_CAP} bisection steps")
-    if np.any(d_lo * d_hi > 0.0):
-        raise ConvergenceError("an isolated mode has D of one sign at both bracket ends")
+    # Written as a negation so that NaN, which fails every comparison, is refused.
+    if not np.all(d_lo * d_hi <= 0.0):
+        raise ConvergenceError("an isolated mode has D of one sign, or NaN, at its bracket ends")
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
-    sign_below = np.where(d_lo != 0.0, np.sign(d_lo), -np.sign(d_hi))
     hi = np.where(d_lo == 0.0, lo, hi)
-    roots = _polish(geometry, m, lo, hi, d_lo, d_hi)
-    return _snap(geometry, m, roots, sign_below).reshape(len(profiles), width)
+    return _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
 
 
 def default_ceiling(profile: RadialDensityProfile, n_max: int, m_max: int = 8) -> float:

@@ -46,6 +46,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                     f"{8 * w.getsampwidth()}-bit WAV not supported; expected 16-bit PCM"
                 )
             rate = w.getframerate()
+            if rate <= 0:
+                raise UnsupportedFormat(f"WAV sample rate must be positive, got {rate}")
             raw = w.readframes(w.getnframes())
     except wave.Error as exc:
         raise UnsupportedFormat(f"not a readable PCM WAV file: {exc}") from exc

@@ -11,6 +11,7 @@ import pytest
 
 from membrane_lab.cli import main
 from membrane_lab.config import config_dir
+from membrane_lab.wav import write_wav
 
 DATA = config_dir()
 
@@ -202,6 +203,45 @@ def layers_steps(tmp_path, steps):
     return run("layers", str(DATA / "uniform_profile.json"), str(path))
 
 
+def materials_csv(tmp_path, text):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    return run("materials", str(path))
+
+
+# One value of each kind a hand-edited CSV cell can hold by mistake.
+CSV_MUTANTS = {"nan": "nan", "inf": "inf", "empty": "", "string": "x", "negative": "-1"}
+
+
+def csv_mutations(text):
+    """The bundled samples CSV with one cell or one row changed, by id: every
+    cell of the header, the first row and the last (which gives a velocity)
+    takes each CSV_MUTANTS value, and each of those rows is cut short,
+    lengthened, or repeated."""
+    rows = [line.split(",") for line in text.strip().splitlines()]
+    join = lambda rows: "".join(",".join(row) + "\n" for row in rows)
+    out = {}
+    for i in (0, 1, len(rows) - 1):
+        for j in range(len(rows[i])):
+            for kind, value in CSV_MUTANTS.items():
+                out[f"row{i}.col{j}-{kind}"] = join(rows[:i] + [mutated(rows[i], (j,), value)] + rows[i + 1 :])
+        out[f"row{i}-short"] = join(rows[:i] + [rows[i][:2]] + rows[i + 1 :])
+        out[f"row{i}-long"] = join(rows[:i] + [rows[i] + ["1"]] + rows[i + 1 :])
+        out[f"row{i}-repeated"] = join(rows[: i + 1] + rows[i:])
+    return out
+
+
+MATERIALS_MUTANTS = csv_mutations((DATA / "materials_samples.csv").read_text())
+
+
+def zero_rate_wav(path):
+    """A mono PCM16 WAV of a 440 Hz tone whose header gives sample rate 0."""
+    write_wav(0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(8000) / 44100.0), 44100, path)
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = bytes(8)  # the canonical header's sample rate and byte rate
+    path.write_bytes(raw)
+
+
 # Each document of the tests below and a run that loads it.
 LOADERS = {
     "profile": (PROFILE, lambda tmp_path, table_path, doc: modes_profile(tmp_path, doc)),
@@ -339,6 +379,31 @@ class TestMalformedInputs:
     def test_400_digit_frequency_in_mode_table_is_data_error(self, tmp_path, capsys):
         assert synth_source(tmp_path, mutated(TABLE, ("modes", 0, "frequency_hz"), 10 ** 400)) == 2
         assert capsys.readouterr().err.startswith("membrane-lab: malformed mode table document")
+
+    @pytest.mark.parametrize("text", MATERIALS_MUTANTS.values(), ids=MATERIALS_MUTANTS.keys())
+    def test_fuzzed_materials_csv_maps_to_an_exit_code(self, tmp_path, capsys, text):
+        code = materials_csv(tmp_path, text)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert capsys.readouterr().err.startswith("membrane-lab: ")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("wood,1e10\n", "line 2 ('wood') does not have the header's 3 fields"),
+            ("wood,1e10,600\nwood,2e10,700\n", "line 3 ('wood') repeats a material name"),
+        ],
+        ids=["short-row", "repeated-name"],
+    )
+    def test_malformed_materials_row_is_data_error(self, tmp_path, capsys, rows, message):
+        assert materials_csv(tmp_path, "name,E_pa,rho_kg_m3\n" + rows) == 2
+        assert capsys.readouterr().err.startswith(f"membrane-lab: samples CSV {message}")
+
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_zero_sample_rate_wav_is_data_error(self, tmp_path, capsys, command):
+        zero_rate_wav(tmp_path / "x.wav")
+        assert run(command, str(tmp_path / "x.wav")) == 2
+        assert capsys.readouterr().err.startswith("membrane-lab: WAV sample rate must be positive")
 
 
 class TestIntegralCounts:

@@ -142,6 +142,25 @@ class TestCsvAndReport:
         with pytest.raises(ValueError):
             load_samples_csv("name,E_pa,rho_kg_m3\n")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("wood,1e10\n", r"line 2 \('wood'\) does not have the header's 3 fields"),
+            ("wood,1e10,600,1\n", r"line 2 \('wood'\) does not have the header's 3 fields"),
+            ("wood,1e10,600\nwood,2e10,700\n", r"line 3 \('wood'\) repeats a material name"),
+            ("wood,1e10,nan\n", r"line 2 \('wood'\): Young's modulus and density"),
+            (" ,1e10,600\n", r"line 2 \(''\) has no material name"),
+        ],
+        ids=["short-row", "long-row", "repeated-name", "nan-density", "no-name"],
+    )
+    def test_malformed_row_is_named(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            load_samples_csv("name,E_pa,rho_kg_m3\n" + rows)
+
+    def test_header_naming_a_column_twice(self):
+        with pytest.raises(ValueError, match="names a column twice"):
+            load_samples_csv("name,E_pa,rho_kg_m3,E_pa\nwood,1e10,600,2e10\n")
+
     def test_bundled_samples_parse(self):
         from membrane_lab.config import config_dir
 

@@ -422,39 +422,66 @@ class TestStackedSolve:
         assert (exc.value.azimuthal_order, exc.value.found) == (1, 0)
 
 
+# Stub residuals with a root at 1.003 inside the bracket [1.0, 1.05].
+POLISH_STUBS = pytest.mark.parametrize(
+    "residual, derivative, most",
+    [
+        # D(lo) -0.45, D(hi) 1.2e4; Illinois false position took 18 calls.
+        (lambda f: np.expm1(200.0 * (f - 1.003)), lambda f: 200.0 * np.exp(200.0 * (f - 1.003)), 8),
+        # flat at the root
+        (lambda f: (f - 1.003) ** 3, lambda f: 3.0 * (f - 1.003) ** 2, math.inf),
+    ],
+    ids=["asymmetric", "cubic"],
+)
+
+
 class TestPolish:
     @staticmethod
     def bisection_steps(residual, lo, hi):
-        # Reference: plain bisection with the polish's stop test.
+        # Reference: plain bisection on the grid of 38-significant-bit
+        # floats, each point the grid point nearest the midpoint, kept
+        # strictly inside the bracket, with the polish's stop rule: no grid
+        # point left strictly inside.
+        cell = 1 << membrane._GRID_BITS
+        bits = lambda f: int(np.float64(f).view(np.int64))
         d_lo, steps = residual(lo), 0
-        while hi - lo > membrane.BISECT_RTOL * abs(0.5 * (lo + hi)):
-            mid = 0.5 * (lo + hi)
+        while True:
+            first, last = (bits(lo) & -cell) + cell, (bits(hi) - 1) & -cell
+            if first > last:
+                return steps
+            near = (bits(0.5 * (lo + hi)) + cell // 2) & -cell
+            mid = float(np.int64(min(max(near, first), last)).view(np.float64))
             d_mid = residual(mid)
             if d_lo * d_mid < 0.0:
                 hi = mid
             else:
                 lo, d_lo = mid, d_mid
             steps += 1
-        return steps
 
-    @pytest.mark.parametrize(
-        "residual, derivative, most",
-        [
-            # D(lo) -0.45, D(hi) 1.2e4; Illinois false position took 18 calls.
-            (lambda f: np.expm1(200.0 * (f - 1.003)), lambda f: 200.0 * np.exp(200.0 * (f - 1.003)), 8),
-            # flat at the root
-            (lambda f: (f - 1.003) ** 3, lambda f: 3.0 * (f - 1.003) ** 2, math.inf),
-        ],
-        ids=["asymmetric", "cubic"],
-    )
+    @staticmethod
+    def polish(residual, lo=1.0, hi=1.05):
+        lo, hi = np.array([lo]), np.array([hi])
+        geometry = np.ones((2, 1, 1))  # one ring, ignored by the stub
+        return membrane._polish(geometry, np.zeros(1), lo, hi, residual(lo), residual(hi))[0]
+
+    @POLISH_STUBS
     def test_converges_within_bisection_count(self, monkeypatch, residual, derivative, most):
         calls = stub_solution(monkeypatch, residual, derivative, None)
-        lo, hi = np.array([1.0]), np.array([1.05])
-        geometry = np.ones((2, 1, 1))  # one ring, ignored by the stub
-        root = membrane._polish(geometry, np.zeros(1), lo, hi, residual(lo), residual(hi))
-        assert abs(root[0] - 1.003) <= 1e-11 * 1.003
+        root = self.polish(residual)
+        assert abs(root - 1.003) <= 1e-11 * 1.003
         assert len(calls) <= self.bisection_steps(residual, 1.0, 1.05) + membrane._POLISH_SLACK
         assert len(calls) <= most
+
+    @POLISH_STUBS
+    def test_root_is_the_midpoint_of_the_grid_cell_bracketing_it(
+        self, monkeypatch, residual, derivative, most
+    ):
+        # The grid of 38-significant-bit floats is 2^-37 apart in [1, 2).
+        spacing = 2.0 ** -37
+        cell = math.floor(1.003 / spacing) * spacing
+        assert residual(cell) < 0.0 < residual(cell + spacing)
+        stub_solution(monkeypatch, residual, derivative, None)
+        assert self.polish(residual) == cell + 0.5 * spacing
 
     def test_exact_zero_at_a_bisection_point_comes_back_unchanged(self, monkeypatch):
         # The first bisection point of (m, n) = (0, 1) depends only on its
@@ -465,7 +492,7 @@ class TestPolish:
         calls = stub_roots(monkeypatch, zero, 1.0)
         table = composite_modes(STUB_PROFILE, 0, 2, 3.0)
         assert calls[1][0] == zero
-        # The root is snapped onto the grid of 38-significant-bit floats:
+        # The root is placed on the grid of 38-significant-bit floats:
         # it is zero itself if zero is on that grid, where D is exactly 0,
         # and otherwise the midpoint of the grid cell holding zero.
         spacing = 2.0 ** (math.frexp(zero)[1] - 38)
@@ -497,17 +524,20 @@ class TestPolish:
             got = [mo.frequency for mo in table if mo.m == m]
             assert np.allclose(got, [0.16, 0.31, 0.46], rtol=1e-11, atol=0.0)
 
-    @pytest.mark.parametrize("on_grid", [1.0, math.nan], ids=["one-sign", "nan"])
-    def test_no_sign_change_on_the_snap_grid_is_refused(self, monkeypatch, on_grid):
-        # D changes sign at 1.1 between the points the polish visits, but is
-        # on_grid at every 38-significant-bit float the snap evaluates: no
-        # grid cell near the polished root brackets it.
-        def residual(f):
-            grid = (np.asarray(f, dtype=float).view(np.int64) & (2 ** 15 - 1)) == 0
-            return np.where(grid, on_grid, f - 1.1)
-
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            # NaN at every 38-significant-bit float, where the polish's
+            # points lie, and a sign change at 1.1 between them.
+            lambda f: np.where((np.asarray(f, dtype=float).view(np.int64) & (2**15 - 1)) == 0, np.nan, f - 1.1),
+            # NaN above the root, so at the isolated bracket's upper end.
+            lambda f: np.where(f > 1.1, np.nan, f - 1.1),
+        ],
+        ids=["polish-point", "bracket-end"],
+    )
+    def test_nan_of_d_is_refused(self, monkeypatch, residual):
         stub_solution(monkeypatch, residual, np.ones_like, lambda f: (f > 1.1).astype(int))
-        with pytest.raises(ConvergenceError, match="grid cells"):
+        with pytest.raises(ConvergenceError, match="NaN"):
             composite_modes(STUB_PROFILE, 0, 1, 3.0)
 
     def test_bracket_without_sign_change_is_refused(self, monkeypatch):

@@ -88,6 +88,15 @@ class TestRejections:
         with pytest.raises(UnsupportedFormat):
             read_wav(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_wav(np.zeros(64), 44100, path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = bytes(8)  # the canonical header's sample rate and byte rate
+        path.write_bytes(raw)
+        with pytest.raises(UnsupportedFormat, match="sample rate must be positive, got 0"):
+            read_wav(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_wav(tmp_path / "absent.wav")
