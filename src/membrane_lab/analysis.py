@@ -161,6 +161,17 @@ class AnalysisReport:
         }
 
 
+def _samples(waveform, sample_rate: float) -> np.ndarray:
+    """The samples as a float array; raises ValueError unless they are
+    finite and the sample rate is positive and finite."""
+    if not (sample_rate > 0 and math.isfinite(sample_rate)):
+        raise ValueError(f"sample rate must be positive and finite, got {sample_rate}")
+    x = np.asarray(waveform, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("waveform samples must be finite")
+    return x
+
+
 def compute_spectrum(
     waveform, sample_rate: float, fft_size: int, window: str = "hann"
 ) -> Spectrum:
@@ -170,7 +181,7 @@ def compute_spectrum(
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     x = np.zeros(fft_size)
-    src = np.asarray(waveform, dtype=float)[:fft_size]
+    src = _samples(waveform, sample_rate)[:fft_size]
     x[: src.size] = src
     if window == "hann":
         x = x * np.hanning(fft_size)
@@ -311,6 +322,9 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
     n_hop = max(1, int(round(hop_s * sample_rate)))
     if n_frame < 8:
         raise ValueError("frame too short")
+    # Before the window is built, so that its size is bounded by the clip's.
+    if x.size < n_frame:
+        return np.empty(0), np.empty(0)
     window = np.hanning(n_frame)
     freqs = np.fft.rfftfreq(n_frame, 1.0 / sample_rate)
     band = (freqs >= band_center - band_width / 2.0) & (
@@ -319,8 +333,6 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
     if not band.any():
         band = np.zeros_like(freqs, dtype=bool)
         band[np.argmin(np.abs(freqs - band_center))] = True
-    if x.size < n_frame:
-        return np.empty(0), np.empty(0)
     frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
     # Frames overlap n_frame / n_hop times, so transforming them all at once
     # would hold that many windowed copies of the clip; a block holds one.
@@ -345,11 +357,10 @@ def fit_decay(
     Least squares on (t, ln magnitude) between the loudest frame and the
     first frame 40 dB quieter; lambda is the negated slope.
     """
+    x = _samples(waveform, sample_rate)
     if band_center + band_width / 2.0 >= sample_rate / 2.0:
         raise ValueError("band extends past the Nyquist frequency")
-    times, mags = _stft_band_track(
-        waveform, sample_rate, band_center, band_width, frame_s, hop_s
-    )
+    times, mags = _stft_band_track(x, sample_rate, band_center, band_width, frame_s, hop_s)
     if times.size < 8:
         raise ValueError("need at least 8 analysis frames for a decay fit")
     p = int(np.argmax(mags))
@@ -376,11 +387,14 @@ def fit_decay(
 
 
 def _moving_rms(x: np.ndarray, window: int) -> np.ndarray:
-    half = window // 2
-    padded = np.concatenate([np.zeros(half), x * x, np.zeros(half)])
-    csum = np.concatenate([[0.0], np.cumsum(padded)])
-    total = csum[window:] - csum[:-window]
-    return np.sqrt(np.maximum(total, 0.0) / window)[: x.size]
+    """RMS over a window centred on each sample, zero beyond the clip.
+
+    The window's ends are clipped onto the clip's running sum, not padded
+    with zeros, so every array is the clip's size whatever the window's."""
+    csum = np.concatenate([[0.0], np.cumsum(x * x)])
+    start = np.arange(-(window // 2), x.size - window // 2)
+    total = csum.take(start + window, mode="clip") - csum.take(start, mode="clip")
+    return np.sqrt(np.maximum(total, 0.0) / window)
 
 
 def segment_adsr(
@@ -395,7 +409,7 @@ def segment_adsr(
     """
     if not (0.005 <= rms_window_s <= 0.1):
         raise ValueError("rms_window_s must lie in [0.005, 0.1]")
-    x = np.asarray(waveform, dtype=float)
+    x = _samples(waveform, sample_rate)
     if x.size == 0:
         raise SilentInput("empty waveform")
     w = max(2, int(round(rms_window_s * sample_rate)))
@@ -556,7 +570,7 @@ def extract_features(
     f_search: tuple[float, float] | None = None,
 ) -> ClipFeatures:
     """Run the full measurement stack on one clip."""
-    x = np.asarray(waveform, dtype=float)
+    x = _samples(waveform, sample_rate)
     spectrum = compute_spectrum(x, sample_rate, fft_size)
     peaks = tuple(detect_peaks(spectrum, min_prominence_db, max_peaks))
     flatness = spectral_flatness(spectrum)

@@ -69,9 +69,17 @@ class CharacteristicRatioVerdict:
         return abs(self.measured - self.target) <= self.tolerance
 
 
+def _sorted_finite(frequencies) -> list[float]:
+    fs = sorted(float(f) for f in frequencies)
+    bad = [f for f in fs if not math.isfinite(f)]
+    if bad:
+        raise ValueError(f"frequencies must be finite, got {bad[0]}")
+    return fs
+
+
 def implied_fundamental(frequencies) -> float:
     """Half the second-lowest frequency: the pitch the head is tuned to."""
-    fs = sorted(float(f) for f in frequencies)
+    fs = _sorted_finite(frequencies)
     if len(fs) < 2:
         raise TooFewFrequencies("implied fundamental needs at least two frequencies")
     return fs[1] / 2.0
@@ -86,10 +94,7 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     score).  Frequencies whose nearest multiple exceeds max_overtone are
     out of analysis range.
     """
-    fs = sorted(float(f) for f in frequencies)
-    bad = [f for f in fs if not math.isfinite(f)]
-    if bad:
-        raise ValueError(f"frequencies must be finite, got {bad[0]}")
+    fs = _sorted_finite(frequencies)
     if len(fs) < 3:
         raise TooFewFrequencies("harmonicity score needs at least three frequencies")
     if not 3 <= max_overtone <= 10:

@@ -12,6 +12,9 @@ where the propagated solution vanishes at the rim are the eigenfrequencies.
 
 One kernel, _propagate, serves the solver and mode_shape; asked for it,
 it also carries f dD/df, the exact slope the polish's Newton steps take.
+It returns one array per call, a column per ring of (A_i, B_i, S_i, u at
+the ring's outer end), and the x, J_m and Y_m rows of every ring end, so
+the mode count (_zero_count) and mode_shape read all rings at once.
 The solver, _solve_stack, counts the roots of a stack of profiles of
 equal ring count at once, and polishes each into its cell on the grid of
 38-significant-bit floats (see composite_modes, its one-profile case).
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonfmt import integral, number
-from .bessel import MAX_ORDER, MAX_ZERO_INDEX, bessel_j, bessel_y, bessel_zero, integer_jy
-from .errors import ConvergenceError, DomainError, InsufficientCeiling, ProfileMismatch
+from .bessel import MAX_ORDER, MAX_ZERO_INDEX, _check_order, bessel_zero, integer_jy
+from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 
 BISECT_CAP = 200
 # Steps the polish may fall behind bisection of the same bracket.
@@ -237,13 +240,16 @@ def _propagate(geometry, orders, freqs, *, slope=False):
     points from every order and every profile of a stack at once.  Ring i
     holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1,
     B_1 = 0.
-    Returns (coeffs, ends, D, G): coeffs[i] = (A_i, B_i, S_i); ends[i]
-    pairs the (x, J_m(x), Y_m(x), u) at ring i's inner and outer radius,
-    x = k_i r and u the displacement up to a positive factor, for
-    _zero_count (ring 1 has no inner end); D is the rim displacement
-    divided by S_N; G is f dD/df divided by the same S_N if slope is set,
-    else None, so D / G is the Newton step of the rim displacement in
-    units of f.
+    Returns (rings, (x, j, y), D, G).  rings, shape (4, N, *points), holds
+    a column per ring of A_i, B_i, S_i and u_i, the displacement at ring
+    i's outer radius up to a positive factor; u is continuous, so u_i is
+    also its value at ring i + 1's inner radius, and u_N = D.  x, j and y,
+    shape (2N - 1, *points), hold x = k r, J_m(x) and Y_m(x) at every ring
+    end: the first N rows at each ring's outer radius (the last at the
+    rim), the other N - 1 at the inner radius of rings 2 to N (ring 1 has
+    no inner end).  D is the rim displacement divided by S_N; G is f dD/df
+    divided by the same S_N if slope is set, else None, so D / G is the
+    Newton step of the rim displacement in units of f.
 
     The recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2) makes
     du/dr + (m/r) u = k (A J_{m-1} + B Y_{m-1}); it is continuous wherever
@@ -267,8 +273,6 @@ def _propagate(geometry, orders, freqs, *, slope=False):
     """
     edges, slowness = geometry
     ks = 2.0 * math.pi * freqs * slowness
-    # Every ring-end argument: row i is k_i r_i (row N - 1 the rim), row
-    # N + i is k_{i+1} r_i; one ladder evaluates them all.
     last = len(ks) - 1
     x = np.concatenate([ks * edges, ks[1:] * edges[:-1]])
     j, y, j1, y1 = integer_jy(orders, x)
@@ -276,19 +280,17 @@ def _propagate(geometry, orders, freqs, *, slope=False):
         kk = ks * ks
         source = (kk[1:] - kk[:-1]) * edges[:-1]
 
+    rings = np.empty((4,) + ks.shape)
     A, B, S = 1.0, 0.0, 1.0
     dA = dB = 0.0
-    coeffs = [(A, B, S)]
-    ends, inner = [], None
     for i in range(last):
         # No Y term in the first ring.
         u = A * j[i] + B * y[i] if i else j[i]
         w = A * j1[i] + B * y1[i] if i else j1[i]
-        ends.append((inner, (x[i], j[i], y[i], u)))
+        rings[0, i], rings[1, i], rings[2, i], rings[3, i] = A, B, S, u
         w = ks[i] * w
         half_pi_rb = 0.5 * math.pi * edges[i]
         r = last + 1 + i
-        inner = (x[r], j[r], y[r], u)
         ky, kj = ks[i + 1] * y1[r], ks[i + 1] * j1[r]
         A = half_pi_rb * (ky * u - y[r] * w)
         B = half_pi_rb * (j[r] * w - kj * u)
@@ -297,7 +299,6 @@ def _propagate(geometry, orders, freqs, *, slope=False):
         A = A / scale
         B = B / scale
         S = S * scale
-        coeffs.append((A, B, S))
         if slope:
             dw = source[i] * u
             solve = half_pi_rb / scale
@@ -310,11 +311,11 @@ def _propagate(geometry, orders, freqs, *, slope=False):
                 dw = dw * solve
                 dA, dB = -(y[r] * dw), j[r] * dw
     D = A * j[last] + B * y[last]
-    ends.append((inner, (x[last], j[last], y[last], D)))
+    rings[0, last], rings[1, last], rings[2, last], rings[3, last] = A, B, S, D
     if not slope:
-        return coeffs, ends, D, None
+        return rings, (x, j, y), D, None
     G = dA * j[last] + dB * y[last] + x[last] * (A * j1[last] + B * y1[last]) - orders * D
-    return coeffs, ends, D, G
+    return rings, (x, j, y), D, G
 
 
 def _crossings_below(m, phi, x, j, y, u):
@@ -337,7 +338,7 @@ def _crossings_below(m, phi, x, j, y, u):
     return k - 1.0 + (np.where(k % 2 == 1.0, u, -u) > 0.0)
 
 
-def _zero_count(orders, coeffs, ends) -> np.ndarray:
+def _zero_count(orders, rings, rows) -> np.ndarray:
     """N_m(f), the number of order-m modes below f, from one _propagate call.
 
     The radial equation is Sturm-Liouville, so N_m(f) is the number of
@@ -345,21 +346,24 @@ def _zero_count(orders, coeffs, ends) -> np.ndarray:
     the sum over rings of the crossings between each ring's ends, with
     phi_i = atan2(B_i, A_i).  Ring 1 starts at r = 0+, just past crossing
     -1 (theta = -pi/2, phi_1 = 0, u > 0).  A zero on a boundary counts in
-    the ring outside it, and one on the rim (D = 0) not at all.
+    the ring outside it, and one on the rim (D = 0) not at all.  One pass
+    places every outer end, one every inner end, each against its own
+    ring's phi, with u at ring i's outer end standing for ring i + 1's
+    inner one.
     """
-    count = 1.0
-    for (a, b, _), (inner, outer) in zip(coeffs, ends):
-        phi = np.arctan2(b, a)
-        count = count + _crossings_below(orders, phi, *outer)
-        if inner is not None:
-            count = count - _crossings_below(orders, phi, *inner)
-    return count.astype(int)
+    a, b, _, u = rings
+    x, j, y = rows
+    phi = np.arctan2(b, a)
+    n = len(u)
+    outer = _crossings_below(orders, phi, x[:n], j[:n], y[:n], u)
+    inner = _crossings_below(orders, phi[1:], x[n:], j[n:], y[n:], u[:-1])
+    return (1.0 + outer.sum(axis=0) - inner.sum(axis=0)).astype(int)
 
 
 def _probe(geometry, orders, freqs):
     """The mode count N_m(f) and the rim displacement D at each point."""
-    coeffs, ends, d, _ = _propagate(geometry, orders, freqs)
-    return _zero_count(orders, coeffs, ends), d
+    rings, rows, d, _ = _propagate(geometry, orders, freqs)
+    return _zero_count(orders, rings, rows), d
 
 
 def _polish(
@@ -507,18 +511,16 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
     if not f_ceiling > 0:  # NaN fails this too
         raise ValueError(f"f_ceiling must be positive, got {f_ceiling}")
     geometry = _ring_geometry(profiles)
+    edges, slowness = geometry
     m = np.repeat(np.arange(m_max + 1), n_max)
     n = np.tile(np.arange(1, n_max + 1), m_max + 1)
     uniform = np.array([bessel_zero(int(o), int(k)) for o, k in zip(m, n)])
-    # One row per profile, in the same float operations as a lone solve.
-    uniform = uniform * np.array(
-        [[math.sqrt(p.tension) / (2.0 * math.pi * p.radius)] for p in profiles]
-    )
-    lo = uniform / np.array([[math.sqrt(max(p.densities)) * _BRACKET_WIDEN] for p in profiles])
-    hi = np.minimum(
-        uniform * _BRACKET_WIDEN / np.array([[math.sqrt(min(p.densities))] for p in profiles]),
-        f_ceiling,
-    )
+    # Root n of a uniform head of slowness s is j_{m,n} / (2 pi R s): the
+    # heaviest ring's slowness bounds it below, the lightest's above.  One
+    # row per profile, in the same float operations as a lone solve.
+    circle = (2.0 * math.pi * edges[-1])[:, None]
+    lo = uniform / (circle * slowness.max(axis=0)[:, None] * _BRACKET_WIDEN)
+    hi = np.minimum(uniform * _BRACKET_WIDEN / (circle * slowness.min(axis=0)[:, None]), f_ceiling)
     width = m.size
     ends = [lo.ravel(), hi.ravel()]
     if near is not None:
@@ -581,13 +583,14 @@ def default_ceiling(profile: RadialDensityProfile, n_max: int, m_max: int = 8) -
 def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) -> np.ndarray:
     """Radial displacement of a solved mode on a uniform [0, R] grid.
 
-    Normalised to max |u| = 1; the rim sample is the clamped boundary and
-    is exactly zero.
+    Each sample takes its ring's column of the kernel's (A, B, S), and all
+    samples go through one Bessel call.  Normalised to max |u| = 1; the
+    rim sample is the clamped boundary and is exactly zero.  Raises
+    DomainError unless mode.m is an integer in [0, 12].
     """
     if samples < 64:
         raise ValueError("samples must be >= 64")
-    if not 0 <= mode.m <= MAX_ORDER:
-        raise DomainError(f"mode order m must be in [0, {MAX_ORDER}], got {mode.m}")
+    _check_order(mode.m)
     fp = profile.fingerprint()
     if mode.source_fingerprint != fp:
         raise ProfileMismatch(
@@ -595,24 +598,17 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
             f"(mode fingerprint {mode.source_fingerprint!r}, profile {fp!r})"
         )
     geometry = _ring_geometry([profile])[..., 0]
-    coeffs, *_ = _propagate(geometry, mode.m, mode.frequency)
+    (a, b, scale, _), *_ = _propagate(geometry, mode.m, mode.frequency)
     edges, slowness = geometry
     ks = 2.0 * math.pi * mode.frequency * slowness
 
     r = np.linspace(0.0, profile.radius, samples)
-    region = np.searchsorted(edges, r, side="left")
-    region = np.clip(region, 0, len(profile.rings) - 1)
-    u = np.empty_like(r)
-    for i, (a, b, scale) in enumerate(coeffs):
-        mask = region == i
-        if not mask.any():
-            continue
-        x = ks[i] * r[mask]
-        val = a * bessel_j(mode.m, x)
-        if b != 0.0:
-            # Y_m blows up at the origin but interior regions never touch r=0.
-            val = val + b * bessel_y(mode.m, np.maximum(x, 1e-300))
-        u[mask] = scale * val
+    ring = np.minimum(np.searchsorted(edges, r, side="left"), len(edges) - 1)
+    # Y_m is NaN at r = 0, which only ring 1, where B = 0, holds.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j, y, _, _ = integer_jy(mode.m, ks[ring] * r)
+    y = np.where(ring > 0, y, 0.0)
+    u = scale[ring] * (a[ring] * j + b[ring] * y)
     u /= np.max(np.abs(u))
     u[-1] = 0.0  # clamped rim, exact by construction
     return u

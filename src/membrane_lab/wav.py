@@ -13,10 +13,16 @@ import numpy as np
 from .errors import UnsupportedFormat
 
 _FULL_SCALE = 32767.0
+# The header holds the byte rate, twice the sample rate for mono PCM16, as
+# an unsigned 32-bit integer.
+_MAX_RATE = 2 ** 31 - 1
 
 
 def write_wav(waveform, sample_rate: int, path) -> None:
     """Write samples in [-1, 1] as mono PCM16 little-endian."""
+    if not (isinstance(sample_rate, (int, np.integer)) and not isinstance(sample_rate, bool)
+            and 1 <= sample_rate <= _MAX_RATE):
+        raise ValueError(f"sample rate must be an integer in [1, {_MAX_RATE}], got {sample_rate!r}")
     samples = np.asarray(waveform, dtype=float)
     if samples.ndim != 1:
         raise UnsupportedFormat("only mono (1-D) waveforms are written")
@@ -49,7 +55,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             if rate <= 0:
                 raise UnsupportedFormat(f"WAV sample rate must be positive, got {rate}")
             raw = w.readframes(w.getnframes())
-    except wave.Error as exc:
-        raise UnsupportedFormat(f"not a readable PCM WAV file: {exc}") from exc
+    # wave raises EOFError for a chunk cut short and RuntimeError when a
+    # chunk size points its seek outside the file.
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise UnsupportedFormat(f"not a readable PCM WAV file: {str(exc) or type(exc).__name__}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / _FULL_SCALE
     return samples, rate

@@ -376,3 +376,48 @@ class TestAnalyzeReport:
         )
         assert spectral_flatness(tone) < 0.1
         assert spectral_flatness(noise) > 0.5
+
+
+# Each analysis entry point with a clip it would otherwise accept.
+ENTRY_POINTS = {
+    "compute_spectrum": lambda x, rate: compute_spectrum(x, rate, 4096),
+    "fit_decay": lambda x, rate: fit_decay(x, rate, 300.0, 80.0),
+    "segment_adsr": segment_adsr,
+    "extract_features": extract_features,
+    "analyze": analyze,
+}
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("rate", [0, -1, -44100.0, math.inf, -math.inf, math.nan])
+    def test_rate_must_be_positive_and_finite(self, entry, rate):
+        with pytest.raises(ValueError, match="sample rate must be positive and finite"):
+            entry(sine(300.0, 0.5), rate)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_samples_must_be_finite(self, entry, bad):
+        x = sine(300.0, 0.5)
+        x[100] = bad
+        with pytest.raises(ValueError, match="waveform samples must be finite"):
+            entry(x, FS)
+
+    def test_all_nan_clip_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            analyze(np.full(FS, math.nan), FS)
+
+    def test_rate_from_a_bad_header_allocates_by_the_clip(self):
+        # 4,294,967,295 Hz, the most a WAV header holds, once sized the RMS
+        # window and the STFT frame at hundreds of MB for an 8,000-sample clip.
+        import tracemalloc
+
+        x = 0.5 * np.sin(2.0 * math.pi * 440.0 * np.arange(8000) / 44100.0)
+        tracemalloc.start()
+        try:
+            report = analyze(x, 2 ** 32 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.label == "unknown"
+        assert peak < 4e6

@@ -234,12 +234,27 @@ def csv_mutations(text):
 MATERIALS_MUTANTS = csv_mutations((DATA / "materials_samples.csv").read_text())
 
 
-def zero_rate_wav(path):
-    """A mono PCM16 WAV of a 440 Hz tone whose header gives sample rate 0."""
+def tone_wav(path):
+    """A mono PCM16 WAV of 8000 samples of a 440 Hz tone at 44.1 kHz."""
     write_wav(0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(8000) / 44100.0), 44100, path)
+
+
+def zero_rate_wav(path):
+    """tone_wav's clip with a header that gives sample rate 0."""
+    tone_wav(path)
     raw = bytearray(path.read_bytes())
     raw[24:32] = bytes(8)  # the canonical header's sample rate and byte rate
     path.write_bytes(raw)
+
+
+# Every byte of the canonical 44-byte header set to each of four values,
+# and the file cut short at three lengths.
+WAV_EDITS = {
+    f"byte{offset}={value:#04x}": (offset, value)
+    for offset in range(44)
+    for value in (0x00, 0x01, 0x7F, 0xFF)
+}
+WAV_EDITS.update({f"cut{size}": (size, None) for size in (10, 44, 45)})
 
 
 # Each document of the tests below and a run that loads it.
@@ -404,6 +419,25 @@ class TestMalformedInputs:
         zero_rate_wav(tmp_path / "x.wav")
         assert run(command, str(tmp_path / "x.wav")) == 2
         assert capsys.readouterr().err.startswith("membrane-lab: WAV sample rate must be positive")
+
+
+    @pytest.mark.parametrize("edit", WAV_EDITS.values(), ids=WAV_EDITS.keys())
+    def test_fuzzed_wav_maps_to_an_exit_code(self, tmp_path, capsys, edit):
+        path = tmp_path / "x.wav"
+        tone_wav(path)
+        raw = bytearray(path.read_bytes())
+        at, value = edit
+        if value is None:
+            del raw[at:]
+        else:
+            raw[at] = value
+        path.write_bytes(raw)
+        for command in ("analyze", "classify"):
+            code = run(command, str(path))
+            assert code in (0, 2, 3)
+            if code:
+                assert capsys.readouterr().err.startswith("membrane-lab: ")
+            capsys.readouterr()
 
 
 class TestIntegralCounts:

@@ -29,6 +29,11 @@ class TestImpliedFundamental:
     def test_unsorted_input_is_sorted_first(self):
         assert implied_fundamental([600.0, 214.0, 400.0]) == 200.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, bad):
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            implied_fundamental([bad, 1.0, 2.0])
+
 
 class TestHarmonicityScore:
     def test_shifted_but_harmonic_series(self):

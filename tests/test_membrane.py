@@ -581,8 +581,8 @@ class TestCountCertificate:
 
         # N_m is n - 1 just below root n and n just above it.
         for factor, expected in ((1.0 - 1e-9, n - 1), (1.0 + 1e-9, n)):
-            coeffs, ends, _, _ = membrane._propagate(membrane._ring_geometry([profile]), m, f * factor)
-            assert np.array_equal(membrane._zero_count(m, coeffs, ends), expected)
+            rings, rows, _, _ = membrane._propagate(membrane._ring_geometry([profile]), m, f * factor)
+            assert np.array_equal(membrane._zero_count(m, rings, rows), expected)
 
         # Doubling one ring's density lowers every mode up to m = 2.  The
         # ring reaches past 0.3 R: nearer the centre a mode's share of the
@@ -593,6 +593,28 @@ class TestCountCertificate:
         heavier = composite_modes(RadialDensityProfile(1.0, 1.0, tuple(rings)), 2, 2, math.inf)
         light = {(mo.m, mo.n): mo.frequency for mo in table}
         assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
+
+
+class TestRingPasses:
+    def test_a_33_ring_probe_places_its_ring_ends_in_two_passes(self, monkeypatch):
+        # One _crossings_below call over every outer end and one over every
+        # inner end, not one per ring end (65 at 33 rings).
+        calls = []
+        crossings = membrane._crossings_below
+
+        def counted(*args):
+            calls.append(args)
+            return crossings(*args)
+
+        monkeypatch.setattr(membrane, "_crossings_below", counted)
+        profile = graded_profile(0.4, 3.0, 1.5, 32)
+        assert len(profile.rings) == 33
+        roots = membrane._solve_stack([profile], 8, 2, math.inf)[0]
+        m = np.repeat(np.arange(9), 2)
+        calls.clear()
+        counts, _ = membrane._probe(membrane._ring_geometry([profile]), m, roots * (1.0 + 1e-9))
+        assert len(calls) == 2
+        assert np.array_equal(counts, np.tile([1, 2], 9))
 
 
 class TestWarmStart:
@@ -632,8 +654,7 @@ class TestBesselLadderInKernel:
         geometry = membrane._ring_geometry(profiles)[..., [0, 0, 0, 1, 1, 1]]
         orders = np.array([0.0, 3.0, 8.0, 1.0, 5.0, 12.0])
         freqs = np.array([0.3, 0.4, 0.9, 0.2, 1.1, 2.5])
-        _, ends, _, _ = membrane._propagate(geometry, orders, freqs)
-        args = np.array([end[0] for pair in ends for end in pair if end is not None])
+        _, (args, _, _), _, _ = membrane._propagate(geometry, orders, freqs)
         low = args <= orders
         assert 0 < low.sum() < low.size
         assert calls["yn"] == [] and calls["yv"] == []
@@ -691,11 +712,11 @@ class TestKernelSlope:
         geometry = membrane._ring_geometry([profile])[..., np.zeros(m.size, dtype=int)]
 
         def rim(freqs):
-            coeffs, _, d, _ = membrane._propagate(geometry, m, freqs)
-            return coeffs[-1][2] * d
+            rings, _, d, _ = membrane._propagate(geometry, m, freqs)
+            return rings[2, -1] * d
 
-        coeffs, _, _, slope = membrane._propagate(geometry, m, f, slope=True)
-        exact = coeffs[-1][2] * slope
+        rings, _, _, slope = membrane._propagate(geometry, m, f, slope=True)
+        exact = rings[2, -1] * slope
         h = 1e-6
         central = (rim(f * (1.0 + h)) - rim(f * (1.0 - h))) / (2.0 * h)
         assert np.all(np.abs(central - exact) <= 1e-6 * np.abs(exact))
@@ -772,8 +793,37 @@ class TestModeShape:
     def test_order_outside_the_bessel_tables_is_a_domain_error(self, order):
         profile = two_ring(0.4, 3.7)
         mode = Mode(order, 1, 1.0, profile.fingerprint())
-        with pytest.raises(DomainError, match="mode order m must be in"):
+        with pytest.raises(DomainError, match=r"order must be in \[0, 12\]"):
             mode_shape(profile, mode)
+
+    def test_fractional_order_is_a_domain_error(self):
+        # The kernel's Bessel ladder would truncate 1.5 to order 1.
+        profile = two_ring(0.4, 3.7)
+        with pytest.raises(DomainError, match="order must be an integer"):
+            mode_shape(profile, Mode(1.5, 1, 1.0, profile.fingerprint()))
+
+    def test_17_rings_take_the_kernel_and_one_ladder_call(self, monkeypatch):
+        # Every sample's ring row is picked at once: one integer_jy call for
+        # all samples beside the kernel's, and none through bessel_j/bessel_y.
+        from membrane_lab import bessel
+
+        calls = []
+        ladder = bessel.integer_jy
+
+        def counted(*args):
+            calls.append(args)
+            return ladder(*args)
+
+        monkeypatch.setattr(bessel, "integer_jy", counted)
+        monkeypatch.setattr(membrane, "integer_jy", counted)
+        profile = graded_profile(0.4, 3.0, 1.5, 16)  # 17 rings with the field
+        assert len(profile.rings) == 17
+        mode = composite_modes(profile, 3, 2, math.inf)[-1]
+        calls.clear()
+        u = mode_shape(profile, mode, 256)
+        assert len(calls) == 2
+        assert not hasattr(membrane, "bessel_j") and not hasattr(membrane, "bessel_y")
+        assert self.interior_sign_changes(u) == mode.n - 1
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

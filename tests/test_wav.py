@@ -1,3 +1,4 @@
+import math
 import struct
 import wave as wave_mod
 
@@ -104,3 +105,31 @@ class TestRejections:
     def test_2d_input_rejected(self, tmp_path):
         with pytest.raises(UnsupportedFormat):
             write_wav(np.zeros((4, 2)), 44100, tmp_path / "2d.wav")
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(16, v) for v in (0x00, 0x01, 0x7F, 0xFF)]
+        + [(offset, v) for offset in (17, 18, 19) for v in (0x01, 0x7F, 0xFF)],
+    )
+    def test_bad_fmt_chunk_size_rejected(self, tmp_path, offset, value):
+        # Bytes 16-19 hold the fmt chunk's size, 16: too small a chunk
+        # makes wave raise EOFError, one reaching past the file RuntimeError.
+        path = tmp_path / "fmt.wav"
+        write_wav(np.zeros(64), 44100, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = value
+        path.write_bytes(raw)
+        with pytest.raises(UnsupportedFormat, match="not a readable PCM WAV file"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [0, -5, math.nan, 44100.7, 44100.0, True, 2 ** 31, 2 ** 40])
+    def test_rate_outside_the_header_is_refused(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        with pytest.raises(ValueError, match="sample rate must be an integer in"):
+            write_wav(np.zeros(8), rate, path)
+        assert not path.exists()
+
+    def test_largest_rate_round_trips(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(np.zeros(8), 2 ** 31 - 1, path)
+        assert read_wav(path)[1] == 2 ** 31 - 1
