@@ -164,7 +164,11 @@ class AnalysisReport:
 def _samples(waveform, sample_rate: float) -> np.ndarray:
     """The samples as a float array; raises ValueError unless they are
     finite and the sample rate is positive and finite."""
-    if not (sample_rate > 0 and math.isfinite(sample_rate)):
+    try:
+        valid = sample_rate > 0 and math.isfinite(sample_rate)
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
         raise ValueError(f"sample rate must be positive and finite, got {sample_rate}")
     x = np.asarray(waveform, dtype=float)
     if not np.isfinite(x).all():

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonfmt import integral, number
-from .bessel import MAX_ORDER, MAX_ZERO_INDEX, _check_order, bessel_zero, integer_jy
+from .bessel import MAX_ORDER, MAX_ZERO_INDEX, _check_order, bessel_zero, integer_jy, zero_table
 from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
 
 BISECT_CAP = 200
@@ -514,7 +514,7 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
     edges, slowness = geometry
     m = np.repeat(np.arange(m_max + 1), n_max)
     n = np.tile(np.arange(1, n_max + 1), m_max + 1)
-    uniform = np.array([bessel_zero(int(o), int(k)) for o, k in zip(m, n)])
+    uniform = zero_table()[m, n - 1]
     # Root n of a uniform head of slowness s is j_{m,n} / (2 pi R s): the
     # heaviest ring's slowness bounds it below, the lightest's above.  One
     # row per profile, in the same float operations as a lone solve.

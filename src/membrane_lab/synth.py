@@ -126,11 +126,15 @@ class RenderSpec:
     peak_amplitude: float = 0.9
 
     def __post_init__(self):
-        if not self.sample_rate >= 8000:
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)):
+            raise ValueError(f"sample_rate must be an integer, got {rate!r}")
+        if not rate >= 8000:
             raise ValueError("sample_rate must be >= 8000 Hz")
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ValueError("duration must be positive and finite")
-        if self.duration * self.sample_rate > MAX_RENDER_SAMPLES:
+        # Compared without turning the rate into a float, which a large int overflows.
+        if rate > MAX_RENDER_SAMPLES / self.duration:
             raise ValueError(f"render longer than {MAX_RENDER_SAMPLES} samples")
         if not (0.0 < self.peak_amplitude <= 1.0):
             raise ValueError("peak_amplitude must lie in (0, 1]")

@@ -390,7 +390,8 @@ ENTRY_POINTS = {
 
 class TestInputDomain:
     @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
-    @pytest.mark.parametrize("rate", [0, -1, -44100.0, math.inf, -math.inf, math.nan])
+    # 10**400 is an int too large for a float.
+    @pytest.mark.parametrize("rate", [0, -1, -44100.0, math.inf, -math.inf, math.nan, 10**400])
     def test_rate_must_be_positive_and_finite(self, entry, rate):
         with pytest.raises(ValueError, match="sample rate must be positive and finite"):
             entry(sine(300.0, 0.5), rate)

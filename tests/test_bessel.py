@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -117,7 +120,8 @@ class TestBesselY:
 
 def ladder_points(order):
     """x in [1e-4, 2000], log-spaced and uniform, with points just below, at
-    and just above the seam x = order > 0, where the ladder hands J to jv."""
+    and just above the seam x = order > 0, where J passes from the small-x
+    cells to the ladder."""
     rng = np.random.default_rng(order)
     seam = [order * (1.0 + d) for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
     seam += [np.nextafter(float(order), 0.0), np.nextafter(float(order), 3000.0)]
@@ -134,8 +138,8 @@ class TestIntegerLadder:
     def test_agrees_with_scipy_per_order(self, order):
         # Error as a fraction of the modulus M = |J + iY|, the scale the
         # kernel's phases and crossings see; J, the minimal solution, also
-        # absolutely.  Measured: J 8.3e-14 of M, 2.1e-15 absolute; Y 8.3e-14
-        # of M against AMOS yv (2.4e-15 against cephes yn).
+        # absolutely.  Measured against AMOS jv and yv: J 6.6e-15 of M,
+        # 6.7e-16 absolute; Y 3.1e-15 of M.
         x = ladder_points(order)
         j, y, j_below, y_below = integer_jy(order, x)
         for got_j, got_y, m in ((j, y, order), (j_below, y_below, order - 1)):
@@ -145,26 +149,47 @@ class TestIntegerLadder:
             assert np.max(np.abs(got_j - ref_j)) < 5e-15
             assert np.max(np.abs(got_y - ref_y) / modulus) < 2e-13
 
-    def test_j_comes_from_jv_exactly_where_x_is_at_most_m(self):
-        orders = np.repeat(np.arange(MAX_ORDER + 1), 7)
-        x = orders + np.tile([-0.5, -1e-9, 0.0, 1e-9, 0.5, 2.0, 40.0], MAX_ORDER + 1)
-        x = np.maximum(x, 0.0)
+    def test_j_below_the_seam_agrees_with_mpmath(self):
+        # Where x < m, J_m and J_{m-1} come from the small-x cells times
+        # (x/2)^(m-1), not from the ladder: relative accuracy down to tiny
+        # x, and the absolute gate of the ladder up to and across the seam.
+        # Measured: 1.4e-15 relative.
+        mpmath.mp.dps = 40
+        offsets = [-0.5, -1e-9, 0.0, 1e-9, 0.5, 2.0, 40.0]
+        orders = np.repeat(np.arange(MAX_ORDER + 1), len(offsets) + 3)
+        x = np.concatenate([
+            np.maximum(m + np.array(offsets), 0.0).tolist() + [1e-6 * (m + 1), 0.1 * m, 0.9 * m]
+            for m in range(MAX_ORDER + 1)
+        ])
         with np.errstate(divide="ignore", invalid="ignore"):
             j, _, j_below, _ = integer_jy(orders, x)
-        low = x <= orders
-        assert np.array_equal(j[low], special.jv(orders[low], x[low]))
-        assert np.array_equal(j_below[low], special.jv(orders[low] - 1, x[low]))
+        for m, xv, got, got_below in zip(orders, x, j, j_below):
+            for order, value in ((m, got), (m - 1, got_below)):
+                ref = float(mpmath.besselj(int(order), mpmath.mpf(float(xv))))
+                if xv < m:
+                    assert abs(value - ref) <= 1e-14 * abs(ref)
+                else:
+                    assert abs(value - ref) < 5e-15
 
     def test_order_minus_one_is_minus_order_one(self):
+        # f_{-1} = -f_1 exactly in the evaluator's own ladder: Y everywhere,
+        # J wherever the order-1 call takes J_1 from the ladder too (x >= 1).
         x = np.geomspace(1e-3, 100.0, 500)
         j, y, j_below, y_below = integer_jy(0, x)
-        assert np.array_equal(j_below, -special.j1(x))
-        assert np.array_equal(y_below, -special.y1(x))
-        assert np.array_equal(j, special.j0(x))
+        j1, y1, j0, _ = integer_jy(1, x)
+        assert np.array_equal(y_below, -y1)
+        ladder = x >= 1.0
+        assert np.array_equal(j_below[ladder], -j1[ladder])
+        assert np.array_equal(j[ladder], j0[ladder])
+        # And the values themselves, against cephes.
+        assert np.max(np.abs(j - special.j0(x))) < 1e-15
+        assert np.max(np.abs(j_below + special.j1(x))) < 1e-15
+        assert np.max(np.abs(y_below + special.y1(x)) / np.hypot(special.j1(x), special.y1(x))) < 1e-14
 
     def test_each_point_is_independent_of_its_neighbours(self):
         # Stacking points into one call never changes a point's values: the
-        # ladder's height and the jv subset follow the call, not the point.
+        # ladder's height and the small-x subset follow the call, not the
+        # point.
         rng = np.random.default_rng(3)
         orders = rng.integers(0, MAX_ORDER + 1, 300)
         x = rng.uniform(1e-3, 40.0, 300)
@@ -205,8 +230,23 @@ class TestBesselZero:
             for k in range(1, 21):
                 assert abs(bessel_zero(order, k) - ref[k - 1]) < 1e-9
 
+    def test_every_zero_matches_mpmath(self):
+        mpmath.mp.dps = 30
+        for order in range(MAX_ORDER + 1):
+            for k in range(1, 21):
+                ref = float(mpmath.besseljzero(order, k))
+                assert abs(bessel_zero(order, k) - ref) <= 2.3e-16 * ref
+
     def test_index_bounds(self):
         with pytest.raises(DomainError):
             bessel_zero(0, 0)
         with pytest.raises(DomainError):
             bessel_zero(0, 21)
+
+
+def test_generator_reproduces_the_committed_tables():
+    # The coefficient and zero tables in data/ are exactly what the
+    # generator writes from mpmath, byte for byte.
+    script = Path(__file__).resolve().parents[1] / "tools" / "gen_bessel_tables.py"
+    result = subprocess.run([sys.executable, str(script), "--check"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

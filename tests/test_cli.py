@@ -624,13 +624,47 @@ class TestOptimizeCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_import_loads_no_scipy_special():
-    # The commands that never solve should not pay for importing scipy.special.
+_SOLVING_COMMANDS = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now fails
+from membrane_lab.cli import main
+data, out = sys.argv[2], sys.argv[3]
+commands = [
+    ["modes", f"{data}/default_profile.json"],
+    ["layers", f"{data}/uniform_profile.json", f"{data}/layer_sequence.json"],
+    ["synth", f"{data}/default_profile.json", f"{data}/demo_stroke.json", "-o", out,
+     "--duration", "0.5", "--seed", "3"],
+    ["optimize", "--budget", "200", "--seed", "5"],
+]
+results = []
+for argv in commands:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    # The exit code, the output, and whether scipy has been imported by now.
+    results.append([code, stdout.getvalue(), sys.modules.get("scipy") is not None])
+results.append(open(out, "rb").read().hex())
+print(json.dumps(results))
+"""
+
+
+def test_solving_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every import of it blocked, the
+    # solving commands exit 0 and print exactly what they print unblocked,
+    # and unblocked they never import it (modes runs composite_modes).
     import membrane_lab
 
     env = {**os.environ, "PYTHONPATH": str(Path(membrane_lab.__file__).parents[1])}
-    code = "import sys, membrane_lab.cli; assert 'scipy.special' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    runs = {}
+    for mode in ("blocked", "free"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVING_COMMANDS, mode, str(DATA), str(tmp_path / f"{mode}.wav")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs[mode] = json.loads(proc.stdout)
+    assert [(code, imported) for code, _, imported in runs["free"][:4]] == [(0, False)] * 4
+    assert runs["blocked"] == runs["free"]
 
 
 class TestJsonFormatter:

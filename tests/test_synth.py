@@ -137,6 +137,15 @@ class TestRenderSpecValidation:
     def test_rejects_huge_renders(self):
         with pytest.raises(ValueError):
             RenderSpec(sample_rate=44100, duration=3000.0)
+        with pytest.raises(ValueError):
+            RenderSpec(sample_rate=10**400, duration=1.0)  # too large for a float
+
+    @pytest.mark.parametrize("rate", [44100.5, 44100.0, True])
+    def test_rate_must_be_an_integer(self, rate):
+        # write_wav's rule: a render at 44100.5 Hz would hold 44100 samples.
+        with pytest.raises(ValueError, match="sample_rate must be an integer"):
+            RenderSpec(rate, 1.0, 0.9)
+        assert RenderSpec(np.int32(44100), 1.0, 0.9).n_samples == 44100
 
     def test_rejects_bad_peak(self):
         with pytest.raises(ValueError):
