@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositiveFrequency, TooFewFrequencies
 
 # Chapter-6 targets and tolerances.  The book also quotes +/-0.01 on the
@@ -85,6 +87,36 @@ def implied_fundamental(frequencies) -> float:
     return fs[1] / 2.0
 
 
+def claim_integers(frequencies, max_overtone: int):
+    """The claim rule, on rows of sorted frequencies, shape (..., modes).
+
+    Each frequency above 1.5x its row's implied fundamental f0 is rated
+    against its nearest integer multiple of f0 (half-way rounds up) unless
+    that integer exceeds max_overtone.  Each integer k in 2 .. max_overtone
+    is claimed by the frequency rated against it with the smallest
+    |f / f0 - k|, the lowest such frequency on a tie.
+    Returns (nearest, claimant, residual).  nearest, shape (..., modes),
+    is each frequency's integer, 0 where it is not rated.  claimant and
+    residual, shape (..., max_overtone - 1), hold for each k the index of
+    the frequency that claims it and that frequency's f / f0 - k, or -1
+    and 0 where no frequency claims k.
+    """
+    fs = np.asarray(frequencies, dtype=float)
+    f0 = fs[..., 1:2] / 2.0
+    ratio = fs / f0
+    nearest = np.floor(ratio + 0.5)
+    nearest = np.where((fs > f0 * _OVERTONE_FLOOR) & (nearest <= max_overtone), nearest, 0.0)
+    ks = np.arange(2, max_overtone + 1)
+    # deviation[..., k - 2, i] is |ratio_i - k| where frequency i is rated against k, else inf.
+    deviation = np.where(
+        nearest[..., None, :] == ks[:, None], np.abs(ratio[..., None, :] - ks[:, None]), np.inf
+    )
+    claimant = np.argmin(deviation, axis=-1)
+    claimed = np.isfinite(np.min(deviation, axis=-1))
+    residual = np.where(claimed, np.take_along_axis(ratio, claimant, axis=-1) - ks, 0.0)
+    return nearest.astype(int), np.where(claimed, claimant, -1), residual
+
+
 def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     """Squared deviation of the assigned overtone ratios from the integers.
 
@@ -92,38 +124,27 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     nearest integer multiple; integers may be claimed once (collisions keep
     the smaller deviation, the loser is reported unassigned and does not
     score).  Frequencies whose nearest multiple exceeds max_overtone are
-    out of analysis range.
+    out of analysis range.  The claims are claim_integers'.
     """
     fs = _sorted_finite(frequencies)
     if len(fs) < 3:
         raise TooFewFrequencies("harmonicity score needs at least three frequencies")
     if not 3 <= max_overtone <= 10:
         raise ValueError(f"max_overtone must be in [3, 10], got {max_overtone}")
+    if fs[0] <= 0:
+        raise NonPositiveFrequency(f"harmonicity score needs positive frequencies, got {fs[0]}")
+    nearest, claimant, residual = claim_integers(fs, max_overtone)
     f0 = implied_fundamental(fs)
-    entries = []
-    for i, f in enumerate(fs):
-        if f <= f0 * _OVERTONE_FLOOR:
-            continue
-        ratio = f / f0
-        nearest = int(ratio + 0.5)  # half-way rounds up, no banker's ties
-        if nearest > max_overtone:
-            continue
-        entries.append([i, ratio, nearest, abs(ratio - nearest)])
-
-    best: dict[int, list] = {}
-    for e in entries:
-        claim = best.get(e[2])
-        if claim is None or e[3] < claim[3]:
-            best[e[2]] = e
+    winners = set(claimant.tolist())
     assignments = tuple(
-        RatioAssignment(e[0], e[1], e[2] if best.get(e[2]) is e else None, e[3])
-        for e in entries
+        RatioAssignment(i, fs[i] / f0, k if i in winners else None, abs(fs[i] / f0 - k))
+        for i, k in enumerate(nearest.tolist())
+        if k
     )
-    score = sum(a.deviation ** 2 for a in assignments if a.nearest is not None)
     return HarmonicAssessment(
         implied_fundamental=f0,
         assigned_ratios=assignments,
-        score=score,
+        score=float(np.sum(residual * residual)),
         fundamental_shift=fs[0] / f0,
     )
 

@@ -3,9 +3,13 @@
 The search asks: what central loading makes the overtone series land on
 integers?  The objective is the harmonicity score of the lowest modes of
 the loaded membrane, minimised over a coarse deterministic grid followed
-by bounded Nelder-Mead simplex refinement (the objective is
-piecewise-smooth with integer-assignment switches, so derivative-free it
-is).  Both searches, two-region and graded, share one skeleton.
+by a bounded Levenberg-Marquardt refinement.  The score is a sum of
+squared residuals (each claimed overtone ratio less its integer), and the
+radial problem is self-adjoint, so every root's gradient comes from its
+own mode (membrane._root_gradients) and the residuals' Jacobian from the
+chain rule; the claims switch where assignments change, which the
+refine's damping absorbs.  Both searches, two-region and graded, share
+one skeleton.
 
 Budget accounting: `evaluations` in a result is the number of distinct
 profiles solved; a revisited point is served from the search's cache and
@@ -13,11 +17,11 @@ costs nothing.  Every solve goes through one ledger that solves the new
 points of a call in stacks, one kernel call per solver step for the whole
 stack, and scores each profile's sorted roots with no ModeTable built.
 The budget caps new solves, and `budget_exhausted` is set exactly when the
-cap stopped the search, in the grid or in the simplex.  Otherwise the
-simplex stops once its vertices agree within 1e-9 in every coordinate and
-their values within 1e-12 (or, as a backstop, after 400 iterations).  The
-answer is the best point over everything evaluated, grid included, and
-its assessment is the one the search computed: no answer is solved twice.
+cap stopped the search, in the grid or in the refine.  Otherwise the
+refine stops once its clipped step is within 1e-9 in every coordinate
+(or, as a backstop, after 400 iterations).  The answer is the best point
+over everything evaluated, grid included, and its assessment is scored
+from the roots the search solved there: no answer is solved twice.
 """
 
 from __future__ import annotations
@@ -25,15 +29,16 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
-from .harmonicity import HarmonicAssessment, harmonicity_score
+from .harmonicity import HarmonicAssessment, claim_integers, harmonicity_score
 # default_ceiling stays importable here: bench/tracing.py wraps it in this module.
 from .membrane import (
-    ModeTable, RadialDensityProfile, _solve_stack, composite_modes, default_ceiling
+    ModeTable, RadialDensityProfile, _root_gradients, _solve_stack, composite_modes, default_ceiling
 )
 
 GRID_POINTS = 24
@@ -45,12 +50,13 @@ DEFAULT_RATIO_BOUNDS = (1.0, 16.0)
 STABILIZATION_EPSILON = 0.002
 STABILIZATION_WINDOW = 3
 
-# Simplex stopping rule: every vertex within _SIMPLEX_XATOL of the best in
-# each coordinate and every value within _SIMPLEX_FATOL of the best value.
-# Fixed, so that the stop never hinges on last-ulp noise of the objective.
-_SIMPLEX_XATOL = 1e-9
-_SIMPLEX_FATOL = 1e-12
-_SIMPLEX_MAX_ITER = 400
+# The refine stops once its clipped step is within _REFINE_XTOL in every
+# coordinate: a fixed rule, so that the stop never hinges on last-ulp noise
+# of the objective.  _REFINE_DAMPING is the first step's mu, nearly a
+# Gauss-Newton step.
+_REFINE_XTOL = 1e-9
+_REFINE_MAX_ITER = 400
+_REFINE_DAMPING = 1e-3
 
 # Solver box for objective evaluations: enough azimuthal orders and radial
 # roots that every mode below (overtones + 1).5 x the implied fundamental
@@ -152,26 +158,35 @@ def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> Harmoni
     that degenerate partners collapse exactly, which a radial loading
     cannot do and the instrument does not need.
     """
-    return _stack_objective([profile], overtones)[0][0]
+    return _assessment(_solve_stack([profile], _OBJ_M_MAX, _OBJ_N_MAX, math.inf)[0], overtones)
 
 
-def _stack_objective(
-    profiles, overtones: int, near=None
-) -> tuple[list[HarmonicAssessment], np.ndarray]:
-    """harmonic_objective of each profile, all solved as one stack, and
-    _solve_stack's roots, a row per profile in its (m, n) order.  Rows are
-    scored sorted; near, a row such as a solve before returned, warm-starts
-    the solve."""
+def _assessment(roots, overtones: int) -> HarmonicAssessment:
+    """harmonic_objective of a profile whose _solve_stack row is roots."""
+    freqs = np.sort(roots)
+    window = freqs[freqs <= (overtones + 1.55) * freqs[1] / 2.0]
+    return harmonicity_score(window, max_overtone=overtones + 1)
+
+
+def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, np.ndarray]:
+    """The search value of each profile, all solved as one stack and
+    claimed as one array, and _solve_stack's roots, a row per profile in
+    its (m, n) order; near, a row such as a solve before returned,
+    warm-starts the solve.
+
+    The search value is harmonic_objective's score plus a penalty of 0.25
+    (a worst-case squared deviation) for every overtone integer left
+    without a claiming mode: a series with a silent tooth is not a series.
+    Modes above the objective's window rate against no scored integer, so
+    the claims need no window.
+    """
     roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=near)
-    assessments = []
-    for freqs in np.sort(roots, axis=1):
-        window = freqs[freqs <= (overtones + 1.55) * freqs[1] / 2.0]
-        assessments.append(harmonicity_score(window, max_overtone=overtones + 1))
-    return assessments, roots
+    _, claimant, residuals = claim_integers(np.sort(roots, axis=1), overtones + 1)
+    return np.sum(residuals * residuals, axis=1) + 0.25 * np.sum(claimant < 0, axis=1), roots
 
 
 def _grid_side(budget: int) -> int:
-    """Grid size leaving the simplex stage a real share of small budgets."""
+    """Grid size leaving the refine stage a real share of small budgets."""
     return min(GRID_POINTS, max(6, int(math.sqrt(0.7 * budget))))
 
 
@@ -182,129 +197,149 @@ def _select_best(evaluated) -> tuple:
     return min(evaluated, key=lambda t: (t[0], t[1], t[2]))
 
 
-def _search_value(assessment: HarmonicAssessment, overtones: int) -> float:
-    """Optimisation objective: assessment score plus a penalty of 0.25 (a
-    worst-case squared deviation) for every overtone integer left without a
-    claiming mode.  A series with a silent tooth is not a series."""
-    claimed = {e.nearest for e in assessment.assigned_ratios if e.nearest is not None}
-    missing = sum(1 for k in range(2, overtones + 2) if k not in claimed)
-    return assessment.score + 0.25 * missing
-
-
 class _BudgetSpent(Exception):
     """A new solve was asked for with the whole budget already spent."""
 
 
-def _nelder_mead(fn, simplex, bounds) -> None:
-    """Bounded Nelder-Mead, step for step scipy.optimize.minimize's
-    "Nelder-Mead" method (standard coefficients, trial points clipped into
-    `bounds`).  Runs until the simplex meets the _SIMPLEX_XATOL /
-    _SIMPLEX_FATOL stopping rule or _SIMPLEX_MAX_ITER iterations pass; the
-    caller keeps the evaluated points, and `fn` may raise to stop early.
-    Kept in-house because importing scipy.optimize alone adds ~40% to the
-    peak resident memory of a whole two-region design job."""
+def _linearise(profile, roots, slope, overtones: int):
+    """The refine's linear model of the search value at a solved point.
+
+    roots is the profile's _solve_stack row, and slope the pair
+    (d density/dx, d fraction/dx) of its rings' numbers, shapes (N, 2) and
+    (N - 1, 2), with respect to the search coordinates x.  The residuals
+    are claim_integers' f / f0 - k for k = 2 .. overtones + 1 on the
+    sorted roots, so the score is their sum of squares.
+    Returns (residuals, jacobian, root_jacobian): d residuals/dx, shape
+    (overtones, 2), zero in the rows of unclaimed integers, whose penalty
+    is constant while the claims hold; and d roots/dx, shape (modes, 2),
+    in the roots' order.  One kernel call, _root_gradients', at the roots.
+    """
+    d_density, d_fraction = _root_gradients([profile], _OBJ_M_MAX, _OBJ_N_MAX, roots[None])
+    root_jacobian = d_density[0] @ slope[0] + d_fraction[0] @ slope[1]
+    order = np.argsort(roots, kind="stable")
+    freqs, slopes = roots[order], root_jacobian[order]
+    _, claimant, residuals = claim_integers(freqs, overtones + 1)
+    # f / f0 with f0 = freqs[1] / 2 moves by (df - (f / f0) df0) / f0.
+    f0 = freqs[1] / 2.0
+    jacobian = (slopes[claimant] - (freqs[claimant] / f0)[:, None] * (slopes[1] / 2.0)) / f0
+    return residuals, np.where((claimant >= 0)[:, None], jacobian, 0.0), root_jacobian
+
+
+def _refine(objective, linearise, x, bounds) -> None:
+    """Projected Levenberg-Marquardt (Nocedal & Wright, Numerical
+    Optimization, 10.3) from x, a point objective has solved, within the
+    box `bounds`.
+
+    objective(x, near) is the search value at x, solved warm from the root
+    guesses near if x is new; linearise(x) is (roots, residuals, jacobian,
+    root_jacobian) at x, as _linearise gives them, once objective has made
+    x the best point so far.  Each iteration solves
+    (J^T J + mu diag(J^T J)) p = -J^T r on the free coordinates: those
+    with a nonzero column of J that the gradient J^T r does not press
+    against their bound.  The trial is x + p clipped into the box, solved
+    from the roots the step predicts.  A trial of lower value is kept, and
+    mu shrinks by Nielsen's factor max(1/3, 1 - (2 rho - 1)^3), rho the
+    value's decrease over the model's; otherwise mu grows by a factor that
+    doubles with each rejection in a row.  Stops when the clipped step is
+    within _REFINE_XTOL in every coordinate or after _REFINE_MAX_ITER
+    iterations; the caller keeps the evaluated points, and objective may
+    raise to stop early.
+    """
     lo, hi = np.array(bounds, dtype=float).T
-    sim = np.array(simplex, dtype=float)
-    fsim = np.array([fn(x) for x in sim])
-
-    def trial(t):
-        """Point (1 + t) centroid - t worst, clipped; and its value."""
-        x = np.clip((1 + t) * centroid - t * sim[-1], lo, hi)
-        return x, fn(x)
-
-    for _ in range(_SIMPLEX_MAX_ITER):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= _SIMPLEX_XATOL
-            and np.max(np.abs(fsim[1:] - fsim[0])) <= _SIMPLEX_FATOL
-        ):
+    x = np.asarray(x, dtype=float)
+    value = objective(x, None)
+    roots, r, jac, root_jac = linearise(x)
+    damping, growth = _REFINE_DAMPING, 2.0
+    for _ in range(_REFINE_MAX_ITER):
+        gradient, curvature = jac.T @ r, jac.T @ jac
+        scale = np.diag(curvature)
+        free = (scale > 0.0) & ~((x <= lo) & (gradient > 0.0)) & ~((x >= hi) & (gradient < 0.0))
+        step = np.zeros(len(x))
+        if free.any():
+            system = curvature[np.ix_(free, free)] + damping * np.diag(scale[free])
+            step[free] = np.linalg.solve(system, -gradient[free])
+        trial = np.clip(x + step, lo, hi)
+        taken = trial - x
+        if np.all(np.abs(taken) <= _REFINE_XTOL):
             return
-        centroid = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
-        xr, fr = trial(1.0)
-        if fr < fsim[0]:
-            xe, fe = trial(2.0)
-            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
-        else:
-            outside = fr < fsim[-1]
-            xc, fc = trial(0.5 if outside else -0.5)
-            if (fc <= fr) if outside else (fc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fc
-            else:
-                for j in range(1, len(sim)):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                    fsim[j] = fn(sim[j])
+        predicted = r @ r - np.sum((r + jac @ taken) ** 2)
+        trial_value = objective(trial, roots + root_jac @ taken)
+        if not trial_value < value:
+            damping, growth = damping * growth, 2.0 * growth
+            continue
+        rho = (value - trial_value) / predicted if predicted > 0.0 else 0.0
+        damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        x, value = trial, trial_value
+        roots, r, jac, root_jac = linearise(x)
 
 
-def _grid_simplex_search(profile_at, bounds, overtones: int, budget: int, first=()):
+def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: int, first=()):
     """Minimise the search value of profile_at(x1, x2) over the box `bounds`.
 
     Evaluates the points in `first`, then a _grid_side(budget)^2 grid, then
-    refines from the best point so far with _nelder_mead, its initial
-    simplex one grid spacing long on each axis.  Every point goes through
-    one ledger, `solve`: it drops repeats and cached points, solves the new
-    ones that fit in the budget in stacks of _GRID_STACK profiles, and
-    stops the search when a new point did not fit.  The first and grid
-    points are one call, solved cold; each simplex point is a stack of one,
-    warm-started from the root row of the simplex solve before it.
+    refines from the best point so far with _refine, on _linearise's
+    residuals; slope_at(x1, x2) gives the ring slopes that chain the root
+    gradients to x.  Every point goes through one ledger, `solve`: it
+    drops repeats and cached points, solves the new ones that fit in the
+    budget in stacks of _GRID_STACK profiles, and stops the search when a
+    new point did not fit.  The first and grid points are one call, solved
+    cold; each refine trial is a stack of one, warm-started from the roots
+    its step predicts.
 
-    Returns (x, assessment, distinct solves, budget exhausted), where x is
-    the _select_best point over everything evaluated and assessment its
-    harmonic_objective.
+    Returns (x, roots, distinct solves, budget exhausted), where x is the
+    _select_best point over everything evaluated and roots its
+    _solve_stack row, from which _assessment scores it without a solve.
     """
     cache: dict[tuple[float, float], float] = {}
-    best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, assessment)
-    warm = None  # the root row of the last simplex solve
+    best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, roots)
 
-    def solve(points, warm_start=False) -> list[float]:
-        nonlocal best, warm
+    def solve(points, near=None) -> list[float]:
+        nonlocal best
         keys = [(float(a), float(b)) for a, b in points]
         new = [k for k in dict.fromkeys(keys) if k not in cache]
         fits = new[: budget - len(cache)]
         for start in range(0, len(fits), _GRID_STACK):
             stack = fits[start : start + _GRID_STACK]
-            assessments, roots = _stack_objective(
-                [profile_at(*k) for k in stack], overtones, near=warm if warm_start else None
-            )
-            if warm_start:
-                warm = roots[-1]
-            for k, assessment in zip(stack, assessments):
-                cache[k] = _search_value(assessment, overtones)
-                best = _select_best([best, (cache[k], *k, assessment)])
+            values, roots = _stack_objective([profile_at(*k) for k in stack], overtones, near=near)
+            for k, value, row in zip(stack, values.tolist(), roots):
+                cache[k] = value
+                best = _select_best([best, (value, *k, row)])
         if len(fits) < len(new):
             raise _BudgetSpent
         return [cache[k] for k in keys]
+
+    def linearise(x):
+        # _refine linearises only the best point, so best holds its roots.
+        return (best[3], *_linearise(profile_at(*x), best[3], slope_at(*x), overtones))
 
     side = _grid_side(budget)
     axes = [np.linspace(lo, hi, side) for lo, hi in bounds]
     exhausted = False
     try:
         solve([*first, *itertools.product(*axes)])
-        x0 = np.array(best[1:3])
-        simplex = [x0]
-        for i, ((_, hi), axis) in enumerate(zip(bounds, axes)):
-            step = axis[1] - axis[0]
-            vertex = x0.copy()
-            vertex[i] += step if vertex[i] + step <= hi else -step
-            simplex.append(vertex)
-        _nelder_mead(lambda x: solve([x], warm_start=True)[0], simplex, bounds)
+        _refine(lambda x, near: solve([x], near)[0], linearise, best[1:3], bounds)
     except _BudgetSpent:
         exhausted = True
     return best[1:3], best[3], len(cache), exhausted
 
 
+def _check_count(name: str, value, least: float, most: float = math.inf) -> None:
+    """Refuse, with ValueError, a count that is not an integer (a bool is
+    not one) or that lies outside [least, most]."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        bounds = f"lie in [{least}, {most}]" if most < math.inf else f"be >= {least}"
+        raise ValueError(f"{name} must {bounds}")
+
+
 def _check_rings(rings: int) -> None:
-    if not (4 <= rings <= 32):
-        raise ValueError("rings must lie in [4, 32]")
+    _check_count("rings", rings, 4, 32)
 
 
 def _check_search(overtones: int, budget: int) -> None:
-    if not (3 <= overtones <= 7):
-        raise ValueError("overtones must lie in [3, 7]")
-    if budget < 200:
-        raise ValueError("budget must be >= 200")
+    _check_count("overtones", overtones, 3, 7)
+    _check_count("budget", budget, 200)
 
 
 def optimize_two_region(
@@ -319,9 +354,9 @@ def optimize_two_region(
 ) -> OptimizationResult:
     """Search the density step that best lines the overtones up on integers.
 
-    Coarse 24 x 24 grid over the bounds, then simplex refinement from the
-    best grid point.  Fully deterministic: the seed is recorded for the
-    report but the search itself never draws randomness.
+    Coarse 24 x 24 grid over the bounds, then Levenberg-Marquardt
+    refinement from the best grid point.  Fully deterministic: the seed is
+    recorded for the report but the search itself never draws randomness.
     """
     if not (0.05 < fraction_bounds[0] < fraction_bounds[1] < 0.95):
         raise ValueError("fraction bounds must lie within (0.05, 0.95)")
@@ -329,8 +364,11 @@ def optimize_two_region(
         raise ValueError("ratio bounds must lie within [1, 50]")
     _check_search(overtones, budget)
 
-    x, assessment, evaluations, exhausted = _grid_simplex_search(
+    # The patch's density is ratio x field density and its edge the fraction.
+    slope = (np.array([[0.0, field_density], [0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    x, roots, evaluations, exhausted = _grid_refine_search(
         lambda f, r: TwoRegionCandidate(f, r).to_profile(radius, tension, field_density),
+        lambda f, r: slope,
         (fraction_bounds, ratio_bounds),
         overtones,
         budget,
@@ -339,7 +377,7 @@ def optimize_two_region(
     return OptimizationResult(
         candidate=candidate,
         profile=candidate.to_profile(radius, tension, field_density),
-        assessment=assessment,
+        assessment=_assessment(roots, overtones),
         evaluations=evaluations,
         budget_exhausted=exhausted,
         seed=seed,
@@ -361,10 +399,7 @@ def graded_profile(
     _check_rings(rings)
     if added_mass < 0 or taper_exponent < 0:
         raise ValueError("added_mass and taper_exponent must be >= 0")
-    edges = np.linspace(0.0, patch_fraction, rings + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    weights = (1.0 - mids / patch_fraction) ** taper_exponent
-    areas = math.pi * (edges[1:] ** 2 - edges[:-1] ** 2) * radius ** 2
+    edges, _, weights, areas = _taper(patch_fraction, taper_exponent, rings, radius)
     total = float(np.sum(weights * areas))
     scale = added_mass / total if total > 0 else 0.0
     ring_list = [
@@ -373,6 +408,32 @@ def graded_profile(
     ]
     ring_list.append((1.0, field_density))
     return RadialDensityProfile(radius, tension, tuple(ring_list))
+
+
+def _taper(patch_fraction: float, taper_exponent: float, rings: int, radius: float):
+    """graded_profile's patch ring edges (rings + 1 fractions from 0), each
+    ring's 1 - r/a at its middle and its weight, that to the taper power,
+    and the ring areas."""
+    edges = np.linspace(0.0, patch_fraction, rings + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    base = 1.0 - mids / patch_fraction
+    return edges, base, base ** taper_exponent, math.pi * (edges[1:] ** 2 - edges[:-1] ** 2) * radius ** 2
+
+
+def _graded_slope(patch_fraction: float, added_mass: float, taper_exponent: float, rings: int,
+                  radius: float):
+    """d density/d(added_mass, taper_exponent) of graded_profile's rings,
+    shape (rings + 1, 2), and d fraction/d(the same), zero: the edges stay.
+    Density i is field + mass w_i / W with W = sum_j w_j area_j, and
+    d w_i/d taper = w_i ln(1 - r/a)."""
+    _, base, weights, areas = _taper(patch_fraction, taper_exponent, rings, radius)
+    total = np.sum(weights * areas)
+    per_mass = weights / total
+    d_weights = weights * np.log(base)
+    slope = np.zeros((rings + 1, 2))
+    slope[:-1, 0] = per_mass
+    slope[:-1, 1] = added_mass * (d_weights - per_mass * np.sum(d_weights * areas)) / total
+    return slope, np.zeros((rings, 2))
 
 
 @dataclass(frozen=True)
@@ -419,6 +480,7 @@ def optimize_graded(
     """
     _check_rings(rings)
     _check_search(overtones, budget)
+    _check_count("seed_budget", seed_budget, -math.inf)  # below 200 it means 200
     if two_region_seed is None:
         two_region_seed = optimize_two_region(
             overtones=overtones,
@@ -435,8 +497,9 @@ def optimize_graded(
     taper_bounds = (0.0, 4.0)
 
     # the exact two-region equivalent is always evaluated first
-    x, assessment, evaluations, exhausted = _grid_simplex_search(
+    x, roots, evaluations, exhausted = _grid_refine_search(
         lambda m, t: graded_profile(a, m, t, rings, radius, tension, field_density),
+        lambda m, t: _graded_slope(a, m, t, rings, radius),
         (mass_bounds, taper_bounds),
         overtones,
         budget,
@@ -447,7 +510,7 @@ def optimize_graded(
         patch_fraction=a,
         added_mass=x[0],
         taper_exponent=x[1],
-        assessment=assessment,
+        assessment=_assessment(roots, overtones),
         evaluations=evaluations,
         budget_exhausted=exhausted,
         seed=seed,

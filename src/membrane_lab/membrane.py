@@ -10,16 +10,20 @@ with B_1 = 0 (regularity at the centre).  Continuity of displacement and
 radial slope at every ring boundary propagates (A, B) outward; frequencies
 where the propagated solution vanishes at the rim are the eigenfrequencies.
 
-One kernel, _propagate, serves the solver and mode_shape; asked for it,
-it also carries f dD/df, the exact slope the polish's Newton steps take.
-It returns one array per call, a column per ring of (A_i, B_i, S_i, u at
-the ring's outer end), and the x, J_m and Y_m rows of every ring end, so
-the mode count (_zero_count) and mode_shape read all rings at once.
+One kernel, _propagate, serves the solver, mode_shape and the root
+gradients; asked for it, it also carries f dD/df, the exact slope the
+polish's Newton steps take.  It returns one array per call, a column per
+ring of (A_i, B_i, S_i, u at the ring's outer end), and the x, J_m, Y_m,
+J_{m-1} and Y_{m-1} rows of every ring end, so the mode count
+(_zero_count), mode_shape and the ring integrals of u^2 r
+(_ring_energies) read all rings at once.
 The solver, _solve_stack, counts the roots of a stack of profiles of
 equal ring count at once, and polishes each into its cell on the grid of
 38-significant-bit floats (see composite_modes, its one-profile case).
 It owns the (m, n) order of roots: they stay one array, a row per profile,
 m major, until a ModeTable is asked for, and only _table makes Modes.
+_root_gradients gives every root's derivatives with respect to its
+profile's ring densities and edges, from one more kernel call at the roots.
 """
 
 from __future__ import annotations
@@ -240,16 +244,17 @@ def _propagate(geometry, orders, freqs, *, slope=False):
     points from every order and every profile of a stack at once.  Ring i
     holds u = S_i (A_i J_m(k_i r) + B_i Y_m(k_i r)) with A_1 = S_1 = 1,
     B_1 = 0.
-    Returns (rings, (x, j, y), D, G).  rings, shape (4, N, *points), holds
-    a column per ring of A_i, B_i, S_i and u_i, the displacement at ring
-    i's outer radius up to a positive factor; u is continuous, so u_i is
-    also its value at ring i + 1's inner radius, and u_N = D.  x, j and y,
-    shape (2N - 1, *points), hold x = k r, J_m(x) and Y_m(x) at every ring
-    end: the first N rows at each ring's outer radius (the last at the
-    rim), the other N - 1 at the inner radius of rings 2 to N (ring 1 has
-    no inner end).  D is the rim displacement divided by S_N; G is f dD/df
-    divided by the same S_N if slope is set, else None, so D / G is the
-    Newton step of the rim displacement in units of f.
+    Returns (rings, (x, j, y, j1, y1), D, G).  rings, shape (4, N, *points),
+    holds a column per ring of A_i, B_i, S_i and u_i, the displacement at
+    ring i's outer radius up to a positive factor; u is continuous, so u_i
+    is also its value at ring i + 1's inner radius, and u_N = D.  x, j, y,
+    j1 and y1, shape (2N - 1, *points), hold x = k r, J_m(x), Y_m(x),
+    J_{m-1}(x) and Y_{m-1}(x) at every ring end: the first N rows at each
+    ring's outer radius (the last at the rim), the other N - 1 at the
+    inner radius of rings 2 to N (ring 1 has no inner end).  D is the rim
+    displacement divided by S_N; G is f dD/df divided by the same S_N if
+    slope is set, else None, so D / G is the Newton step of the rim
+    displacement in units of f.
 
     The recurrence f'_m(x) = f_{m-1}(x) - (m/x) f_m(x) (DLMF 10.6.2) makes
     du/dr + (m/r) u = k (A J_{m-1} + B Y_{m-1}); it is continuous wherever
@@ -313,9 +318,9 @@ def _propagate(geometry, orders, freqs, *, slope=False):
     D = A * j[last] + B * y[last]
     rings[0, last], rings[1, last], rings[2, last], rings[3, last] = A, B, S, D
     if not slope:
-        return rings, (x, j, y), D, None
+        return rings, (x, j, y, j1, y1), D, None
     G = dA * j[last] + dB * y[last] + x[last] * (A * j1[last] + B * y1[last]) - orders * D
-    return rings, (x, j, y), D, G
+    return rings, (x, j, y, j1, y1), D, G
 
 
 def _crossings_below(m, phi, x, j, y, u):
@@ -352,7 +357,7 @@ def _zero_count(orders, rings, rows) -> np.ndarray:
     inner one.
     """
     a, b, _, u = rings
-    x, j, y = rows
+    x, j, y, _, _ = rows
     phi = np.arctan2(b, a)
     n = len(u)
     outer = _crossings_below(orders, phi, x[:n], j[:n], y[:n], u)
@@ -490,7 +495,7 @@ def composite_modes(
     return _table(profile, m_max, n_max, roots)
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) -> np.ndarray:
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, gradient=False):
     """composite_modes' roots for each profile in a stack of equal ring count:
     a row per profile in (m, n) order, m major, with no Mode built.
 
@@ -503,6 +508,8 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
     clipped into its Sturm bracket, and an end whose count shows root n
     beyond it falls back to its Sturm end.  Guesses move only the brackets:
     each root is its grid cell's, so bit-identical to the cold solve's.
+    With gradient set, returns (roots, _root_gradients of them): one more
+    kernel call, which leaves the roots as they are.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -568,7 +575,68 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None) 
         raise ConvergenceError("an isolated mode has D of one sign, or NaN, at its bracket ends")
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
     hi = np.where(d_lo == 0.0, lo, hi)
-    return _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
+    roots = _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
+    return (roots, _root_gradients(profiles, m_max, n_max, roots)) if gradient else roots
+
+
+def _lommel(orders, x, z, w):
+    """(x/2)(x (Z_m^2 + Z_{m-1}^2) - 2 m Z_m Z_{m-1}), an antiderivative of
+    x Z_m(x)^2 for any cylinder function Z (DLMF 10.22.5 with
+    Z_{m+1} = (2m/x) Z_m - Z_{m-1}); it is 0 at x = 0 for the regular one."""
+    return 0.5 * x * (x * (z * z + w * w) - 2.0 * orders * z * w)
+
+
+def _ring_energies(geometry, orders, freqs):
+    """E_i = integral over ring i of u^2 r dr, and u(r_i)^2 at each ring's
+    outer end, for the modes at freqs, with geometry and orders as
+    _propagate takes them; both shape (N, *points).
+
+    In ring i, u = S_i Z(k_i r) with Z = A_i J_m + B_i Y_m, so E_i is
+    (S_i / k_i)^2 times _lommel's difference over the ring's ends; ring 1's
+    inner end is r = 0.  Every S_i is taken relative to the rim's S_N, so
+    that products over many rings cannot overflow; the factor cancels in
+    every ratio of the two.  One _propagate call.
+    """
+    (a, b, scale, u), (x, j, y, j1, y1), _, _ = _propagate(geometry, orders, freqs)
+    count = len(u)
+    energy = _lommel(orders, x[:count], u, a * j1[:count] + b * y1[:count])
+    energy[1:] -= _lommel(
+        orders, x[count:], a[1:] * j[count:] + b[1:] * y[count:], a[1:] * j1[count:] + b[1:] * y1[count:]
+    )
+    scale = scale / scale[-1]
+    energy *= (scale / (2.0 * math.pi * freqs * geometry[1])) ** 2
+    return energy, (scale * u) ** 2
+
+
+def _root_gradients(profiles, m_max: int, n_max: int, roots):
+    """The gradient of each of _solve_stack's roots with respect to the
+    numbers of its profile's rings: (d_density, d_fraction), shapes
+    (profiles, (m_max + 1) n_max, N) and (..., N - 1), holding df/dsigma_i
+    and df/d(fraction_i) for ring i's density and outer fraction (the
+    rim's fraction is fixed).
+
+    The radial problem is self-adjoint, so first-order perturbation of its
+    Rayleigh quotient (Courant & Hilbert, vol. 1, ch. VI) gives, with
+    _ring_energies' E_i and N = sum_j sigma_j E_j, df/dsigma_i =
+    -(f/2) E_i / N; and moving boundary i outward, which turns a strip of
+    ring i + 1 into ring i, df/dr_i = -(f/2) (sigma_i - sigma_{i+1})
+    u(r_i)^2 r_i / N.  One _propagate call, at the roots.
+    """
+    width = (m_max + 1) * n_max
+    point = np.repeat(np.arange(len(profiles)), width)
+    orders = np.tile(np.repeat(np.arange(m_max + 1), n_max), len(profiles))
+    geometry = _ring_geometry(profiles)[..., point]
+    freqs = np.asarray(roots, dtype=float).ravel()
+    energy, edge = _ring_energies(geometry, orders, freqs)
+    sigma = np.array([p.densities for p in profiles]).T[:, point]
+    half = -0.5 * freqs / np.sum(sigma * energy, axis=0)
+    d_density = half * energy
+    # r_i = fraction_i R, so d/d(fraction_i) is R d/dr_i.
+    edges = geometry[0]
+    d_fraction = half * (sigma[:-1] - sigma[1:]) * edge[:-1] * edges[:-1] * edges[-1]
+    count = len(sigma)
+    return (d_density.T.reshape(len(profiles), width, count),
+            d_fraction.T.reshape(len(profiles), width, count - 1))
 
 
 def default_ceiling(profile: RadialDensityProfile, n_max: int, m_max: int = 8) -> float:

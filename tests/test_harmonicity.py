@@ -10,6 +10,7 @@ from membrane_lab.harmonicity import (
     RATIO_TARGETS,
     RATIO_TOLERANCES,
     characteristic_verdicts,
+    claim_integers,
     harmonicity_score,
     implied_fundamental,
 )
@@ -70,6 +71,25 @@ class TestHarmonicityScore:
     def test_non_finite_frequency_is_named(self, bad):
         with pytest.raises(ValueError, match=r"frequencies must be finite, got -?(nan|inf)"):
             harmonicity_score([100.0, 200.0, bad, 400.0])
+
+    @pytest.mark.parametrize("lowest", [0.0, -100.0])
+    def test_non_positive_frequency_is_refused(self, lowest):
+        with pytest.raises(NonPositiveFrequency, match="positive frequencies"):
+            harmonicity_score([lowest, 200.0, 300.0, 400.0])
+
+    def test_stacked_claims_are_each_rows_own(self):
+        # claim_integers on a stack of rows gives each row what it gives
+        # alone, and harmonicity_score scores its claims.
+        rng = np.random.default_rng(4)
+        rows = np.sort(rng.uniform(1.0, 8.0, (50, 12)), axis=1)
+        stacked = claim_integers(rows, 7)
+        for i, row in enumerate(rows):
+            for whole, alone in zip(stacked, claim_integers(row, 7)):
+                assert np.array_equal(whole[i], alone)
+            a = harmonicity_score(row, 7)
+            assert a.score == float(np.sum(stacked[2][i] ** 2))
+            winners = {e.nearest: e.ref for e in a.assigned_ratios if e.nearest is not None}
+            assert [winners.get(k, -1) for k in range(2, 8)] == stacked[1][i].tolist()
 
     def test_max_overtone_bounds(self):
         with pytest.raises(ValueError):

@@ -655,14 +655,14 @@ class TestBesselLadderInKernel:
         geometry = membrane._ring_geometry(profiles)[..., [0, 0, 0, 1, 1, 1]]
         orders = np.array([0.0, 3.0, 8.0, 1.0, 5.0, 12.0])
         freqs = np.array([0.3, 0.4, 0.9, 0.2, 1.1, 2.5])
-        _, (args, _, _), _, _ = membrane._propagate(geometry, orders, freqs)
+        _, (args, *_), _, _ = membrane._propagate(geometry, orders, freqs)
         low = args < orders
         assert 0 < low.sum() < low.size
         assert sizes == [args.size + low.sum()]
 
     def test_no_small_x_cells_when_every_x_exceeds_m(self, monkeypatch):
         sizes = self.cell_pass_sizes(monkeypatch)
-        _, (args, _, _), _, _ = membrane._propagate(
+        _, (args, *_), _, _ = membrane._propagate(
             membrane._ring_geometry([two_ring(0.4, 3.7)])[..., 0], 2, 3.0
         )
         assert sizes == [args.size]
@@ -698,11 +698,7 @@ class TestKernelSlope:
         # f dD/df is carried through every boundary's solve; central
         # differences of the unscaled rim displacement S_N D agree with it
         # far inside 1e-6 (measured 1e-9 here) at every root with m <= 8.
-        rng = np.random.default_rng(rings)
-        edges = np.cumsum(rng.uniform(1.0, 10.0, rings))
-        edges /= edges[-1]
-        edges[-1] = 1.0
-        profile = RadialDensityProfile(0.3, 900.0, tuple(zip(edges, rng.uniform(1.0, 25.0, rings))))
+        profile = random_rings(rings)
         f = membrane._solve_stack([profile], 8, 3, math.inf)[0]
         m = np.repeat(np.arange(9), 3)
         geometry = membrane._ring_geometry([profile])[..., np.zeros(m.size, dtype=int)]
@@ -716,6 +712,87 @@ class TestKernelSlope:
         h = 1e-6
         central = (rim(f * (1.0 + h)) - rim(f * (1.0 - h))) / (2.0 * h)
         assert np.all(np.abs(central - exact) <= 1e-6 * np.abs(exact))
+
+
+def random_rings(rings):
+    """A profile of `rings` random rings (widths 1-10 parts, densities 1-25),
+    the one TestKernelSlope and TestRootGradients take for that count."""
+    rng = np.random.default_rng(rings)
+    edges = np.cumsum(rng.uniform(1.0, 10.0, rings))
+    edges /= edges[-1]
+    edges[-1] = 1.0
+    return RadialDensityProfile(0.3, 900.0, tuple(zip(edges, rng.uniform(1.0, 25.0, rings))))
+
+
+class TestRootGradients:
+    @pytest.mark.parametrize("rings", [2, 9, 17, 33])
+    def test_gradients_match_central_differences_of_the_solve(self, rings):
+        # Five-point central differences of the roots, each ring's density
+        # scaled by 1 + d and its outer fraction moved by d (d = 2h, h, -h,
+        # -2h with h = 3e-4), in one stacked solve per kind.  The roots sit
+        # on the 38-bit grid, so the stencil's noise is ~1e-8 of f; the
+        # gradients agree within 1e-6 of f per unit log density and per
+        # unit fraction (measured 1.5e-8 here).
+        profile = random_rings(rings)
+        (f,), ((d_density,), (d_fraction,)) = membrane._solve_stack([profile], 4, 4, math.inf, gradient=True)
+        h, steps = 3e-4, (2.0, 1.0, -1.0, -2.0)
+
+        def moved(i, d, edge):
+            ring = list(profile.rings)
+            fraction, density = ring[i]
+            ring[i] = (fraction + d, density) if edge else (fraction, density * (1.0 + d))
+            return RadialDensityProfile(profile.radius, profile.tension, tuple(ring))
+
+        def central(count, edge):
+            stack = [moved(i, s * h, edge) for i in range(count) for s in steps]
+            e = membrane._solve_stack(stack, 4, 4, math.inf).reshape(count, 4, -1)
+            return ((8.0 * (e[:, 1] - e[:, 2]) - (e[:, 0] - e[:, 3])) / (12.0 * h)).T
+
+        densities = np.array(profile.densities)
+        assert np.all(np.abs(central(rings, False) - d_density * densities) <= 1e-6 * f[:, None])
+        assert np.all(np.abs(central(rings - 1, True) - d_fraction) <= 1e-6 * f[:, None])
+
+    @pytest.mark.parametrize("rings", [2, 9, 17, 33])
+    def test_lommel_norm_matches_the_shooting_identity(self, rings):
+        # At a root, T R u'(R) dD/dlambda = N = sum_i sigma_i E_i for the
+        # rim displacement D and lambda = (2 pi f)^2: differentiate the
+        # radial equation in lambda and integrate against u.  The kernel's
+        # f dD/df gives the left side with no quadrature; it agrees with
+        # the Lommel sum within 1e-8 (measured 4e-11 here).
+        profile = random_rings(rings)
+        f = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        m = np.repeat(np.arange(5), 4)
+        geometry = membrane._ring_geometry([profile])[..., np.zeros(m.size, dtype=int)]
+        energy, _ = membrane._ring_energies(geometry, m, f)
+        lommel = np.sum(np.array(profile.densities)[:, None] * energy, axis=0)
+        (a, b, _, _), (x, _, _, j1, y1), d, g = membrane._propagate(geometry, m, f, slope=True)
+        # u'(R) = k (Z_{m-1} - (m/x) Z_m) at the rim, in the rim's scale.
+        k = 2.0 * math.pi * f * geometry[1, -1]
+        slope = k * (a[-1] * j1[rings - 1] + b[-1] * y1[rings - 1] - m * d / x[rings - 1])
+        lam = (2.0 * math.pi * f) ** 2
+        shooting = profile.tension * profile.radius * slope * g / (2.0 * lam)
+        assert np.all(np.abs(lommel / shooting - 1.0) <= 1e-8)
+
+    @pytest.mark.parametrize("rings", [2, 17])
+    def test_gradients_leave_the_roots_alone_and_take_one_kernel_call(self, monkeypatch, rings):
+        calls = []
+        propagate = membrane._propagate
+        monkeypatch.setattr(
+            membrane, "_propagate", lambda *args, **kwargs: calls.append(1) or propagate(*args, **kwargs)
+        )
+        profile = random_rings(rings)
+        # The same rings with their densities reversed: a second profile of the stack.
+        flipped = tuple(zip((f for f, _ in profile.rings), reversed(profile.densities)))
+        profiles = [profile, RadialDensityProfile(profile.radius, profile.tension, flipped)]
+        plain = membrane._solve_stack(profiles, 4, 4, math.inf)
+        plain_calls = len(calls)
+        roots, (d_density, d_fraction) = membrane._solve_stack(profiles, 4, 4, math.inf, gradient=True)
+        assert len(calls) == 2 * plain_calls + 1
+        assert [f.hex() for f in roots.ravel()] == [f.hex() for f in plain.ravel()]
+        assert d_density.shape == (2, 20, rings) and d_fraction.shape == (2, 20, rings - 1)
+        # f scales as sigma^(-1/2): the density gradient sums to -f/2 (Euler).
+        densities = np.array([p.densities for p in profiles])[:, None, :]
+        assert np.allclose(np.sum(d_density * densities, axis=2), -0.5 * roots, rtol=1e-12)
 
 
 class TestModeShape:
