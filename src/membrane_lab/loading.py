@@ -230,10 +230,10 @@ def _refine(objective, linearise, x, bounds) -> None:
     Optimization, 10.3) from x, a point objective has solved, within the
     box `bounds`.
 
-    objective(x, near) is the search value at x, solved warm from the root
-    guesses near if x is new; linearise(x) is (roots, residuals, jacobian,
-    root_jacobian) at x, as _linearise gives them, once objective has made
-    x the best point so far.  Each iteration solves
+    objective(x, near) is (value, roots) at x: the search value and its
+    roots, solved warm from the root guesses near if x is new;
+    linearise(x, roots) is (residuals, jacobian, root_jacobian) at x, as
+    _linearise gives them.  Each iteration solves
     (J^T J + mu diag(J^T J)) p = -J^T r on the free coordinates: those
     with a nonzero column of J that the gradient J^T r does not press
     against their bound.  The trial is x + p clipped into the box, solved
@@ -247,8 +247,8 @@ def _refine(objective, linearise, x, bounds) -> None:
     """
     lo, hi = np.array(bounds, dtype=float).T
     x = np.asarray(x, dtype=float)
-    value = objective(x, None)
-    roots, r, jac, root_jac = linearise(x)
+    value, roots = objective(x, None)
+    r, jac, root_jac = linearise(x, roots)
     damping, growth = _REFINE_DAMPING, 2.0
     for _ in range(_REFINE_MAX_ITER):
         gradient, curvature = jac.T @ r, jac.T @ jac
@@ -263,14 +263,14 @@ def _refine(objective, linearise, x, bounds) -> None:
         if np.all(np.abs(taken) <= _REFINE_XTOL):
             return
         predicted = r @ r - np.sum((r + jac @ taken) ** 2)
-        trial_value = objective(trial, roots + root_jac @ taken)
+        trial_value, trial_roots = objective(trial, roots + root_jac @ taken)
         if not trial_value < value:
             damping, growth = damping * growth, 2.0 * growth
             continue
         rho = (value - trial_value) / predicted if predicted > 0.0 else 0.0
         damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
-        x, value = trial, trial_value
-        roots, r, jac, root_jac = linearise(x)
+        x, value, roots = trial, trial_value, trial_roots
+        r, jac, root_jac = linearise(x, roots)
 
 
 def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: int, first=()):
@@ -281,19 +281,19 @@ def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: in
     residuals; slope_at(x1, x2) gives the ring slopes that chain the root
     gradients to x.  Every point goes through one ledger, `solve`: it
     drops repeats and cached points, solves the new ones that fit in the
-    budget in stacks of _GRID_STACK profiles, and stops the search when a
-    new point did not fit.  The first and grid points are one call, solved
-    cold; each refine trial is a stack of one, warm-started from the roots
-    its step predicts.
+    budget in stacks of _GRID_STACK profiles, gives each point's (value,
+    roots), and stops the search when a new point did not fit.  The first
+    and grid points are one call, solved cold; each refine trial is a
+    stack of one, warm-started from the roots its step predicts.
 
     Returns (x, roots, distinct solves, budget exhausted), where x is the
     _select_best point over everything evaluated and roots its
     _solve_stack row, from which _assessment scores it without a solve.
     """
-    cache: dict[tuple[float, float], float] = {}
+    cache: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
     best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, roots)
 
-    def solve(points, near=None) -> list[float]:
+    def solve(points, near=None) -> list[tuple[float, np.ndarray]]:
         nonlocal best
         keys = [(float(a), float(b)) for a, b in points]
         new = [k for k in dict.fromkeys(keys) if k not in cache]
@@ -302,22 +302,23 @@ def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: in
             stack = fits[start : start + _GRID_STACK]
             values, roots = _stack_objective([profile_at(*k) for k in stack], overtones, near=near)
             for k, value, row in zip(stack, values.tolist(), roots):
-                cache[k] = value
+                cache[k] = value, row
                 best = _select_best([best, (value, *k, row)])
         if len(fits) < len(new):
             raise _BudgetSpent
         return [cache[k] for k in keys]
-
-    def linearise(x):
-        # _refine linearises only the best point, so best holds its roots.
-        return (best[3], *_linearise(profile_at(*x), best[3], slope_at(*x), overtones))
 
     side = _grid_side(budget)
     axes = [np.linspace(lo, hi, side) for lo, hi in bounds]
     exhausted = False
     try:
         solve([*first, *itertools.product(*axes)])
-        _refine(lambda x, near: solve([x], near)[0], linearise, best[1:3], bounds)
+        _refine(
+            lambda x, near: solve([x], near)[0],
+            lambda x, roots: _linearise(profile_at(*x), roots, slope_at(*x), overtones),
+            best[1:3],
+            bounds,
+        )
     except _BudgetSpent:
         exhausted = True
     return best[1:3], best[3], len(cache), exhausted

@@ -495,7 +495,7 @@ def composite_modes(
     return _table(profile, m_max, n_max, roots)
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, gradient=False):
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None):
     """composite_modes' roots for each profile in a stack of equal ring count:
     a row per profile in (m, n) order, m major, with no Mode built.
 
@@ -508,8 +508,6 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, 
     clipped into its Sturm bracket, and an end whose count shows root n
     beyond it falls back to its Sturm end.  Guesses move only the brackets:
     each root is its grid cell's, so bit-identical to the cold solve's.
-    With gradient set, returns (roots, _root_gradients of them): one more
-    kernel call, which leaves the roots as they are.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -576,7 +574,7 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, 
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
     hi = np.where(d_lo == 0.0, lo, hi)
     roots = _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
-    return (roots, _root_gradients(profiles, m_max, n_max, roots)) if gradient else roots
+    return roots
 
 
 def _lommel(orders, x, z, w):

@@ -239,7 +239,7 @@ class TestOptimizer:
 
         def read_cache(objective, linearise, x, bounds):
             monkeypatch.setattr(loading, "_stack_objective", no_solve)
-            cached.update((x, objective(x, None)) for x in grid)
+            cached.update((x, objective(x, None)[0]) for x in grid)
 
         def no_solve(*args):
             raise AssertionError("a grid point was not cached")

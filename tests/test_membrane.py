@@ -734,7 +734,8 @@ class TestRootGradients:
         # gradients agree within 1e-6 of f per unit log density and per
         # unit fraction (measured 1.5e-8 here).
         profile = random_rings(rings)
-        (f,), ((d_density,), (d_fraction,)) = membrane._solve_stack([profile], 4, 4, math.inf, gradient=True)
+        roots = membrane._solve_stack([profile], 4, 4, math.inf)
+        (f,), ((d_density,), (d_fraction,)) = roots, membrane._root_gradients([profile], 4, 4, roots)
         h, steps = 3e-4, (2.0, 1.0, -1.0, -2.0)
 
         def moved(i, d, edge):
@@ -786,7 +787,8 @@ class TestRootGradients:
         profiles = [profile, RadialDensityProfile(profile.radius, profile.tension, flipped)]
         plain = membrane._solve_stack(profiles, 4, 4, math.inf)
         plain_calls = len(calls)
-        roots, (d_density, d_fraction) = membrane._solve_stack(profiles, 4, 4, math.inf, gradient=True)
+        roots = membrane._solve_stack(profiles, 4, 4, math.inf)
+        d_density, d_fraction = membrane._root_gradients(profiles, 4, 4, roots)
         assert len(calls) == 2 * plain_calls + 1
         assert [f.hex() for f in roots.ravel()] == [f.hex() for f in plain.ravel()]
         assert d_density.shape == (2, 20, rings) and d_fraction.shape == (2, 20, rings - 1)
