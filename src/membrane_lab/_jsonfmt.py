@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def _fmt(value, indent: int, level: int) -> str:
     pad = " " * (indent * (level + 1))
     closing = " " * (indent * level)
-    if isinstance(value, np.bool_):
-        value = bool(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    elif isinstance(value, np.ndarray):
+    # numpy scalars and arrays become Python values, without importing numpy
+    # for documents that hold none.
+    if type(value).__module__.partition(".")[0] == "numpy":
         value = value.tolist()
     if value is None:
         return "null"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -14,22 +15,42 @@ from pathlib import Path
 
 from . import _jsonfmt
 from ._jsonfmt import integral, number
-from .analysis import analyze
 from .config import config_dir
 from .errors import MembraneLabError, SolverError
-from .loading import (
-    STABILIZATION_EPSILON,
-    STABILIZATION_WINDOW,
-    LayerStep,
-    optimize_graded,
-    optimize_two_region,
-    simulate_layers,
-)
-# default_ceiling stays importable here: bench/tracing.py wraps it in this module.
-from .membrane import ModeTable, RadialDensityProfile, composite_modes, default_ceiling
-from .materials import load_samples_csv, material_report
-from .synth import RenderSpec, StrokeTemplate, annular_filter, render_stroke
-from .wav import read_wav, write_wav
+
+# Layer -> the names the commands call from it.  A command binds its layers'
+# names as globals on its first call (_load), so each command imports only
+# the layers it runs.  A name bound already, a test's stub or a tracing
+# wrapper, is kept.  The module __getattr__ resolves the same names from
+# outside.  default_ceiling is not called here: bench/tracing.py wraps it
+# in this module.
+_LAYER_NAMES = {
+    "analysis": ("analyze", "compute_spectrum"),
+    "loading": (
+        "STABILIZATION_EPSILON", "STABILIZATION_WINDOW", "LayerStep", "optimize_graded",
+        "optimize_two_region", "simulate_layers",
+    ),
+    "materials": ("load_samples_csv", "material_report"),
+    "membrane": ("ModeTable", "RadialDensityProfile", "composite_modes", "default_ceiling"),
+    "synth": ("RenderSpec", "StrokeTemplate", "annular_filter", "render_stroke"),
+    "wav": ("read_wav", "write_wav"),
+}
+
+
+def _load(*layers: str) -> None:
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +78,7 @@ def _load_table_source(path: str, m_max: int, n_max: int, f_ceiling: float):
 
 
 def _cmd_modes(args) -> int:
+    _load("membrane")
     table = composite_modes(_load_profile_arg(args.profile), args.m_max, args.n_max, args.f_ceiling)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -66,6 +88,7 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _load("loading")
     if args.graded:
         result = optimize_graded(
             rings=args.rings,
@@ -112,6 +135,7 @@ def _load_steps(path: str) -> tuple[list[LayerStep], float, int]:
 
 
 def _cmd_layers(args) -> int:
+    _load("membrane", "loading")
     profile = _load_profile_arg(args.profile)
     steps, epsilon, window = _load_steps(args.steps)
     trace = simulate_layers(
@@ -144,6 +168,7 @@ def _cmd_layers(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _load("membrane", "synth", "wav")
     table = _load_table_source(args.source, args.m_max, args.n_max, args.f_ceiling)
     template = StrokeTemplate.loads(Path(args.template).read_text())
     if args.annular:
@@ -170,6 +195,7 @@ def _tolerance_overrides(args) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    _load("wav", "analysis")
     waveform, rate = read_wav(args.input)
     report = analyze(
         waveform,
@@ -181,8 +207,6 @@ def _cmd_analyze(args) -> int:
         tolerances=_tolerance_overrides(args),
     )
     if args.spectrum_csv:
-        from .analysis import compute_spectrum
-
         spectrum = compute_spectrum(waveform, rate, args.fft_size)
         Path(args.spectrum_csv).write_text(spectrum.to_csv())
     _emit(_jsonfmt.dumps(report.to_json_dict()), args.output)
@@ -190,6 +214,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _load("wav", "analysis")
     waveform, rate = read_wav(args.input)
     report = analyze(waveform, rate, fft_size=args.fft_size)
     print(f"{report.label} {report.confidence:.3f}")
@@ -197,6 +222,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_materials(args) -> int:
+    _load("materials")
     path = args.samples if args.samples else str(config_dir() / "materials_samples.csv")
     report = material_report(load_samples_csv(Path(path).read_text()))
     if args.format == "csv":

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from pathlib import Path
-
-from .membrane import RadialDensityProfile
-from .synth import StrokeTemplate
 
 ENV_VAR = "MEMBRANE_LAB_CONFIG"
 
@@ -18,7 +14,7 @@ def config_dir() -> Path:
     override = os.environ.get(ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("membrane_lab") / "data"))
+    return Path(__file__).parent / "data"
 
 
 def _read(name: str) -> str:
@@ -27,6 +23,8 @@ def _read(name: str) -> str:
 
 def load_default_templates() -> dict[str, tuple[StrokeTemplate, str]]:
     """name -> (template, which reference head it plays on)."""
+    from .synth import StrokeTemplate
+
     doc = json.loads(_read("stroke_templates.json"))
     out = {}
     for entry in doc["strokes"]:
@@ -36,6 +34,8 @@ def load_default_templates() -> dict[str, tuple[StrokeTemplate, str]]:
 
 
 def load_profile(name: str) -> RadialDensityProfile:
+    from .membrane import RadialDensityProfile
+
     return RadialDensityProfile.loads(_read(name))
 
 

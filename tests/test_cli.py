@@ -667,6 +667,54 @@ def test_solving_commands_run_without_scipy(tmp_path):
     assert runs["blocked"] == runs["free"]
 
 
+_LOADED_MODULES = r"""
+import contextlib, io, json, sys
+from membrane_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# Command -> the modules it must not import: each command loads only the
+# layers it runs.
+_UNUSED_LAYERS = {
+    "modes": ("analysis", "loading", "synth", "wav", "materials"),
+    "layers": ("analysis",),
+    "synth": ("analysis",),
+    "analyze": ("membrane", "bessel", "loading", "synth"),
+    "classify": ("membrane", "bessel", "loading", "synth"),
+}
+
+
+@pytest.mark.parametrize("command", [*_UNUSED_LAYERS, "materials"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, command):
+    import membrane_lab
+
+    clip = tmp_path / "tone.wav"
+    tone_wav(clip)
+    argv = {
+        "modes": ["modes", str(DATA / "default_profile.json")],
+        "layers": ["layers", str(DATA / "uniform_profile.json"), str(DATA / "layer_sequence.json")],
+        "synth": ["synth", str(DATA / "default_profile.json"), str(DATA / "demo_stroke.json"),
+                  "-o", str(tmp_path / "x.wav"), "--duration", "0.2"],
+        "analyze": ["analyze", str(clip)],
+        "classify": ["classify", str(clip)],
+        "materials": ["materials"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(membrane_lab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    if command == "materials":
+        assert "numpy" not in modules
+    else:
+        loaded = [layer for layer in _UNUSED_LAYERS[command] if f"membrane_lab.{layer}" in modules]
+        assert loaded == []
+
+
 class TestJsonFormatter:
     def test_nine_significant_digits(self):
         from membrane_lab._jsonfmt import dumps
@@ -681,6 +729,13 @@ class TestJsonFormatter:
 
         out = dumps({"i": np.int64(3), "f": np.float64(0.5), "b": np.bool_(False)})
         assert "3" in out and "0.5" in out and "false" in out
+        # A float32 prints as the double it widens to, a 0-d array as its
+        # scalar and a 2-D array as nested lists.
+        out = dumps([np.float32(0.1), np.array(2.5), np.array([[0.1, 2.0], [-3.5, 1e-20]])])
+        assert out == (
+            "[\n  0.100000001,\n  2.5,\n  [\n    [\n      0.1,\n      2\n    ],\n"
+            "    [\n      -3.5,\n      1e-20\n    ]\n  ]\n]\n"
+        )
 
     def test_rejects_nonfinite(self):
         from membrane_lab._jsonfmt import dumps
