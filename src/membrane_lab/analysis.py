@@ -9,6 +9,7 @@ the stroke.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,14 @@ def _samples(waveform, sample_rate: float) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=8)
+def _hann(n: int) -> np.ndarray:
+    """np.hanning(n), built once per size; read-only, as every caller shares it."""
+    window = np.hanning(n)
+    window.flags.writeable = False
+    return window
+
+
 def compute_spectrum(
     waveform, sample_rate: float, fft_size: int, window: str = "hann"
 ) -> Spectrum:
@@ -188,7 +197,7 @@ def compute_spectrum(
     src = _samples(waveform, sample_rate)[:fft_size]
     x[: src.size] = src
     if window == "hann":
-        x = x * np.hanning(fft_size)
+        x *= _hann(fft_size)
     mags = np.abs(np.fft.rfft(x))
     freqs = np.arange(mags.size) * (sample_rate / fft_size)
     return Spectrum(freqs, mags, window, fft_size, sample_rate)
@@ -320,7 +329,8 @@ def group_harmonics(
 
 
 def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, hop_s):
-    """Per-frame max magnitude inside the band, with frame-centre times."""
+    """Per-frame max magnitude inside the band, with frame-centre times: the
+    band's rfft bins only, as a matmul of the frames with their windowed cos/sin basis."""
     x = np.asarray(waveform, dtype=float)
     n_frame = int(round(frame_s * sample_rate))
     n_hop = max(1, int(round(hop_s * sample_rate)))
@@ -329,21 +339,25 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
     # Before the window is built, so that its size is bounded by the clip's.
     if x.size < n_frame:
         return np.empty(0), np.empty(0)
-    window = np.hanning(n_frame)
     freqs = np.fft.rfftfreq(n_frame, 1.0 / sample_rate)
     band = (freqs >= band_center - band_width / 2.0) & (
         freqs <= band_center + band_width / 2.0
     )
-    if not band.any():
-        band = np.zeros_like(freqs, dtype=bool)
-        band[np.argmin(np.abs(freqs - band_center))] = True
+    bins = np.flatnonzero(band) if band.any() else [np.argmin(np.abs(freqs - band_center))]
     frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
-    # Frames overlap n_frame / n_hop times, so transforming them all at once
-    # would hold that many windowed copies of the clip; a block holds one.
+    # Frames overlap n_frame / n_hop times, so a product of them all at once
+    # would hold that many copies of the clip; a block holds one.
     blocks = np.array_split(frames, max(1, n_frame // n_hop))
-    mags = np.concatenate(
-        [np.max(np.abs(np.fft.rfft(b * window, axis=-1)[:, band]), axis=-1) for b in blocks]
-    )
+    mags = np.zeros(len(frames))
+    unit = np.arange(n_frame) * (2.0 * math.pi / n_frame)
+    cos, sin = np.cos(unit), np.sin(unit)
+    # At most 32 bins a basis, so that a wide band never holds n_frame x bins.
+    for part in np.array_split(bins, -(-len(bins) // 32)):
+        # j * k reduced mod n_frame in integers, so no phase loses precision
+        jk = np.outer(np.arange(n_frame), part) % n_frame
+        basis = _hann(n_frame)[:, None] * np.hstack([cos[jk], sin[jk]])
+        part_max = [np.max(np.hypot(*np.hsplit(b @ basis, 2)), axis=-1) for b in blocks]
+        np.maximum(mags, np.concatenate(part_max), out=mags)
     times = (n_hop * np.arange(len(frames)) + 0.5 * n_frame) / sample_rate
     return times, mags
 
@@ -395,10 +409,16 @@ def _moving_rms(x: np.ndarray, window: int) -> np.ndarray:
 
     The window's ends are clipped onto the clip's running sum, not padded
     with zeros, so every array is the clip's size whatever the window's."""
+    n, half = x.size, window // 2
     csum = np.concatenate([[0.0], np.cumsum(x * x)])
-    start = np.arange(-(window // 2), x.size - window // 2)
-    total = csum.take(start + window, mode="clip") - csum.take(start, mode="clip")
-    return np.sqrt(np.maximum(total, 0.0) / window)
+    # Sample i sums csum[min(i - half + window, n)] - csum[max(i - half, 0)],
+    # never below 0, as a running sum of squares never decreases.
+    inside = min(n, max(0, n + half - window))
+    total = np.full(n, csum[-1])
+    total[:inside] = csum[window - half : window - half + inside]
+    total[min(n, half) :] -= csum[: max(0, n - half)]
+    total /= window
+    return np.sqrt(total, out=total)
 
 
 def segment_adsr(
@@ -615,7 +635,7 @@ def extract_features(
     n_attack = 1 << int(math.ceil(math.log2(max(256, seg.size))))
     # window the segment itself before padding, or the pad cliff splatters
     attack_spec = compute_spectrum(
-        seg * np.hanning(seg.size), sample_rate, n_attack, window="rect"
+        seg * _hann(seg.size), sample_rate, n_attack, window="rect"
     )
     return ClipFeatures(
         peaks=peaks,

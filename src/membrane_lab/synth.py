@@ -22,6 +22,7 @@ from .membrane import Mode, ModeTable
 STROKE_NAMES = ("dheem", "chappu", "nam", "araichappu", "dhi", "ta", "thom", "gumkki")
 
 MAX_RENDER_SAMPLES = 2 ** 26
+_BLOCK = 512  # render_stroke's samples per grid row
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,17 @@ def render_stroke(
 
     With normalize=True the waveform is scaled to spec.peak_amplitude; the
     raw sum (normalize=False) is what linearity properties hold for.
+
+    Each partial is rendered by block phasors: sample r*B + j (B = 512) is
+    Im(a exp(s t_r + i phi) exp(s t_j)) with s = -lambda + 2 pi i f, so it costs
+    blocks + B complex exponentials on a (blocks x B) grid, not n each of exp and sin.
     """
     nyquist = spec.sample_rate / 2.0
-    t = np.arange(spec.n_samples) / spec.sample_rate
-    out = np.zeros_like(t)
+    n_blocks = -(-spec.n_samples // _BLOCK)
+    t_row = np.arange(n_blocks)[:, None] * (_BLOCK / spec.sample_rate)
+    t_col = np.arange(_BLOCK) / spec.sample_rate
+    grid = np.zeros((n_blocks, _BLOCK))
+    scratch = np.empty_like(grid)
     for e in template.excitations:
         if e.mode_index >= len(modes):
             raise IndexOutOfRange(
@@ -170,15 +178,26 @@ def render_stroke(
             raise NyquistViolation(
                 f"mode at {max(f, f_end):.1f} Hz reaches the Nyquist limit {nyquist:.1f} Hz"
             )
-        # integrated phase of the (possibly gliding) partial
-        inst = 2.0 * math.pi * f * (t + 0.5 * e.glide_frac_per_s * t * t) + e.phase
-        out += e.amplitude * np.exp(-e.decay_constant * t) * np.sin(inst)
+        s = complex(-e.decay_constant, 2.0 * math.pi * f)
+        # A glide adds the chirp pi f g t^2 = pi f g (t_r^2 + t_j (t_j + 2 t_r)) to the
+        # phase; its cross term makes the column factor a full grid.
+        chirp = 1j * math.pi * f * e.glide_frac_per_s
+        row = e.amplitude * np.exp(s * t_row + chirp * t_row * t_row + 1j * e.phase)
+        col = chirp * t_col * (t_col + 2.0 * t_row) if chirp else np.zeros(_BLOCK, complex)
+        col += s * t_col
+        np.exp(col, out=col)
+        # Im(row * col), accumulated in place
+        np.multiply(row.real, col.imag, out=scratch)
+        grid += scratch
+        np.multiply(row.imag, col.real, out=scratch)
+        grid += scratch
+    out = grid.reshape(-1)[: spec.n_samples]
     if template.noise_burst is not None and template.noise_burst.duration > 0:
         n_burst = min(spec.n_samples, int(round(template.noise_burst.duration * spec.sample_rate)))
         rng = np.random.default_rng(seed)
         out[:n_burst] += template.noise_burst.amplitude * rng.uniform(-1.0, 1.0, n_burst)
     if normalize:
-        peak = np.max(np.abs(out))
+        peak = max(out.max(), -out.min())
         if peak > 0:
             out *= spec.peak_amplitude / peak
     return out

@@ -6,7 +6,10 @@ import pytest
 from membrane_lab.analysis import (
     AnalysisReport,
     Peak,
+    _hann,
     _longest_run,
+    _moving_rms,
+    _stft_band_track,
     analyze,
     classify_stroke,
     compute_spectrum,
@@ -214,6 +217,88 @@ class TestFitDecay:
     def test_needs_eight_frames(self):
         with pytest.raises(ValueError):
             fit_decay(sine(300.0, 0.15), FS, 300.0, 80.0)
+
+    def test_holds_about_one_copy_of_the_clip(self):
+        import tracemalloc
+
+        t = np.arange(4 * FS) / FS
+        x = np.exp(-2.5 * t) * np.sin(2 * math.pi * 300.0 * t)
+        fit_decay(x, FS, 300.0, 80.0)  # builds the cached window outside the trace
+        tracemalloc.start()
+        try:
+            fit_decay(x, FS, 300.0, 80.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+
+
+def rfft_band_track(x, rate, center, width, frame_s, hop_s):
+    """The decay band track by a full rfft of every frame, then a band mask."""
+    n_frame = int(round(frame_s * rate))
+    n_hop = max(1, int(round(hop_s * rate)))
+    if x.size < n_frame:
+        return np.empty(0), np.empty(0)
+    freqs = np.fft.rfftfreq(n_frame, 1.0 / rate)
+    band = (freqs >= center - width / 2.0) & (freqs <= center + width / 2.0)
+    if not band.any():
+        band[np.argmin(np.abs(freqs - center))] = True
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
+    mags = np.max(np.abs(np.fft.rfft(frames * np.hanning(n_frame), axis=-1)[:, band]), axis=-1)
+    times = (n_hop * np.arange(len(frames)) + 0.5 * n_frame) / rate
+    return times, mags
+
+
+class TestBandTrack:
+    @pytest.mark.parametrize(
+        "n, center, width, frame_s, hop_s",
+        [
+            (2 * FS, 300.0, 80.0, 0.1, 0.025),
+            (2 * FS, 305.0, 0.5, 0.1, 0.025),  # no bin in the band: the nearest one
+            (FS + 777, 300.0, 80.0, 0.1, 0.025),  # 37 frames in 4 blocks
+            (FS, 450.0, 60.0, 0.05, 0.02),  # 2 blocks of uneven size
+            (FS, 6000.0, 4000.0, 0.1, 0.025),  # 401 bins, more than one basis
+            (FS, 300.0, 80.0, 0.1, 0.2),  # hop longer than the frame
+        ],
+    )
+    def test_matches_the_full_rfft(self, n, center, width, frame_s, hop_s):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) / FS
+        x = np.exp(-3.0 * t) * np.sin(2 * math.pi * center * t) + 0.1 * rng.standard_normal(n)
+        times, mags = _stft_band_track(x, FS, center, width, frame_s, hop_s)
+        ref_times, ref_mags = rfft_band_track(x, FS, center, width, frame_s, hop_s)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(mags - ref_mags)) <= 1e-12 * np.max(ref_mags)
+
+    def test_clip_shorter_than_a_frame_has_no_track(self):
+        times, mags = _stft_band_track(np.ones(4409), FS, 300.0, 80.0, 0.1, 0.025)
+        assert times.size == mags.size == 0
+
+
+class TestMovingRms:
+    @staticmethod
+    def clipped_take(x, window):
+        """The moving RMS by index gathers clipped onto the running sum."""
+        csum = np.concatenate([[0.0], np.cumsum(x * x)])
+        start = np.arange(-(window // 2), x.size - window // 2)
+        total = csum.take(start + window, mode="clip") - csum.take(start, mode="clip")
+        return np.sqrt(np.maximum(total, 0.0) / window)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000])
+    @pytest.mark.parametrize("window", [2, 3, 4, 5, 6, 999, 1000, 1001, 1002, 2001, 10 ** 9])
+    def test_equals_the_clipped_gathers(self, n, window):
+        x = np.random.default_rng(n).standard_normal(n)
+        env = _moving_rms(x, window)
+        assert env.shape == x.shape
+        assert np.array_equal(env, self.clipped_take(x, window))
+
+
+def test_hann_window_is_shared_read_only():
+    window = _hann(1000)
+    assert window is _hann(1000)
+    assert np.array_equal(window, np.hanning(1000))
+    with pytest.raises(ValueError):
+        window[0] = 1.0
 
 
 class TestSegmentAdsr:
