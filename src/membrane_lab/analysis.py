@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +163,13 @@ class AnalysisReport:
         }
 
 
+class _Checked(NamedTuple):
+    """Samples _samples has passed, handed from an entry point to the
+    stages it calls so that no stage checks them again."""
+
+    samples: np.ndarray
+
+
 def _samples(waveform, sample_rate: float) -> np.ndarray:
     """The samples as a float array; raises ValueError unless they are
     finite and the sample rate is positive and finite."""
@@ -171,6 +179,8 @@ def _samples(waveform, sample_rate: float) -> np.ndarray:
         valid = False
     if not valid:
         raise ValueError(f"sample rate must be positive and finite, got {sample_rate}")
+    if isinstance(waveform, _Checked):
+        return waveform.samples
     x = np.asarray(waveform, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("waveform samples must be finite")
@@ -183,6 +193,15 @@ def _hann(n: int) -> np.ndarray:
     window = np.hanning(n)
     window.flags.writeable = False
     return window
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty finite 1-D array, bit for bit, without the
+    numpy.ma import that np.median costs a fresh process: like it, the
+    np.mean of the middle value, or of the middle two."""
+    half, odd = divmod(values.size, 2)
+    middle = np.partition(values, half if odd else (half - 1, half))
+    return float(np.mean(middle[half - 1 + odd : half + 1]))
 
 
 def compute_spectrum(
@@ -216,7 +235,7 @@ def detect_peaks(
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
     m = spectrum.magnitudes
-    floor = float(np.median(m))
+    floor = _median(m)
     if floor <= 0.0:
         positive = m[m > 0.0]
         if positive.size == 0:
@@ -474,7 +493,7 @@ def segment_adsr(
 
     coarse_lo = run_start * w
     coarse_hi = min((run_start + run_len) * w, env.size) - 1
-    level = float(np.median(env[coarse_lo : coarse_hi + 1]))
+    level = _median(env[coarse_lo : coarse_hi + 1])
     near = np.abs(env - level) <= _ADSR_LEVEL_BAND * peak
     lo = coarse_lo
     while lo > peak_idx and near[lo - 1]:
@@ -569,7 +588,7 @@ def _dominant_band_drift(waveform, sample_rate, dominant_hz) -> float:
 
     def seg_peak(part):
         n = 1 << int(math.floor(math.log2(part.size)))
-        spec = compute_spectrum(part, sample_rate, max(256, min(n, 2 ** 20)))
+        spec = compute_spectrum(_Checked(part), sample_rate, max(256, min(n, 2 ** 20)))
         sel = (spec.bin_frequencies >= dominant_hz - width) & (
             spec.bin_frequencies <= dominant_hz + width * 1.8
         )
@@ -595,12 +614,13 @@ def extract_features(
 ) -> ClipFeatures:
     """Run the full measurement stack on one clip."""
     x = _samples(waveform, sample_rate)
-    spectrum = compute_spectrum(x, sample_rate, fft_size)
+    clip = _Checked(x)
+    spectrum = compute_spectrum(clip, sample_rate, fft_size)
     peaks = tuple(detect_peaks(spectrum, min_prominence_db, max_peaks))
     flatness = spectral_flatness(spectrum)
 
     try:
-        adsr = segment_adsr(x, sample_rate)
+        adsr = segment_adsr(clip, sample_rate)
     except SilentInput:
         adsr = None
 
@@ -628,14 +648,14 @@ def extract_features(
     dominant = max(strong, key=lambda p: p.magnitude)
     band = max(30.0, 0.5 * f0)
     try:
-        decay_fit = fit_decay(x, sample_rate, dominant.frequency, band)
+        decay_fit = fit_decay(clip, sample_rate, dominant.frequency, band)
     except (InsufficientDecay, ValueError):
         decay_fit = None
     seg = x[: int(0.08 * sample_rate)]
     n_attack = 1 << int(math.ceil(math.log2(max(256, seg.size))))
     # window the segment itself before padding, or the pad cliff splatters
     attack_spec = compute_spectrum(
-        seg * _hann(seg.size), sample_rate, n_attack, window="rect"
+        _Checked(seg * _hann(seg.size)), sample_rate, n_attack, window="rect"
     )
     return ClipFeatures(
         peaks=peaks,

@@ -14,8 +14,9 @@ one skeleton.
 Budget accounting: `evaluations` in a result is the number of distinct
 profiles solved; a revisited point is served from the search's cache and
 costs nothing.  Every solve goes through one ledger that solves the new
-points of a call in stacks, one kernel call per solver step for the whole
-stack, and scores each profile's sorted roots with no ModeTable built.
+points of a call in stacks, each solver step one kernel call per
+membrane._CHUNK points of the whole stack, and scores each profile's
+sorted roots with no ModeTable built.
 The budget caps new solves, and `budget_exhausted` is set exactly when the
 cap stopped the search, in the grid or in the refine.  Otherwise the
 refine stops once its clipped step is within 1e-9 in every coordinate
@@ -42,9 +43,12 @@ from .membrane import (
 )
 
 GRID_POINTS = 24
-# Profiles per stacked solve: the whole 24 x 24 grid in one stack runs
-# no faster and holds ~8 MB more at its peak.
-_GRID_STACK = 64
+# Profiles per stacked solve: the kernel takes at most membrane._CHUNK
+# points a call, so a stack's memory grows only by its bracket arrays, and
+# the 24 x 24 grid is two stacks.  A 288-profile stack peaks at ~4.7 MB,
+# below the ~4.9 MB of the 64-profile stacks of whole kernel calls; one
+# stack of all 576 solves the grid ~7% faster but peaks at ~7.2 MB.
+_GRID_STACK = 288
 DEFAULT_FRACTION_BOUNDS = (0.1, 0.7)
 DEFAULT_RATIO_BOUNDS = (1.0, 16.0)
 STABILIZATION_EPSILON = 0.002
@@ -171,8 +175,8 @@ def _assessment(roots, overtones: int) -> HarmonicAssessment:
 def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, np.ndarray]:
     """The search value of each profile, all solved as one stack and
     claimed as one array, and _solve_stack's roots, a row per profile in
-    its (m, n) order; near, a row such as a solve before returned,
-    warm-starts the solve.
+    its (m, n) order; near, a pair (guesses, spreads) of rows such as
+    _solve_stack's near and spread, warm-starts the solve.
 
     The search value is harmonic_objective's score plus a penalty of 0.25
     (a worst-case squared deviation) for every overtone integer left
@@ -180,7 +184,8 @@ def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, n
     Modes above the objective's window rate against no scored integer, so
     the claims need no window.
     """
-    roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=near)
+    guesses, spreads = (None, None) if near is None else near
+    roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=guesses, spread=spreads)
     _, claimant, residuals = claim_integers(np.sort(roots, axis=1), overtones + 1)
     return np.sum(residuals * residuals, axis=1) + 0.25 * np.sum(claimant < 0, axis=1), roots
 
@@ -231,13 +236,15 @@ def _refine(objective, linearise, x, bounds) -> None:
     box `bounds`.
 
     objective(x, near) is (value, roots) at x: the search value and its
-    roots, solved warm from the root guesses near if x is new;
+    roots, solved warm from near, a pair (root guesses, their relative
+    spreads), if x is new;
     linearise(x, roots) is (residuals, jacobian, root_jacobian) at x, as
     _linearise gives them.  Each iteration solves
     (J^T J + mu diag(J^T J)) p = -J^T r on the free coordinates: those
     with a nonzero column of J that the gradient J^T r does not press
     against their bound.  The trial is x + p clipped into the box, solved
-    from the roots the step predicts.  A trial of lower value is kept, and
+    from the roots the step predicts, each bracketed by its predicted
+    relative change.  A trial of lower value is kept, and
     mu shrinks by Nielsen's factor max(1/3, 1 - (2 rho - 1)^3), rho the
     value's decrease over the model's; otherwise mu grows by a factor that
     doubles with each rejection in a row.  Stops when the clipped step is
@@ -263,7 +270,8 @@ def _refine(objective, linearise, x, bounds) -> None:
         if np.all(np.abs(taken) <= _REFINE_XTOL):
             return
         predicted = r @ r - np.sum((r + jac @ taken) ** 2)
-        trial_value, trial_roots = objective(trial, roots + root_jac @ taken)
+        change = root_jac @ taken
+        trial_value, trial_roots = objective(trial, (roots + change, np.abs(change) / roots))
         if not trial_value < value:
             damping, growth = damping * growth, 2.0 * growth
             continue

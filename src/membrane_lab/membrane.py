@@ -47,8 +47,17 @@ _POLISH_SLACK = 4
 # The Sturm brackets are exact for a uniform head, which puts both ends on
 # the root; this keeps it strictly inside.
 _BRACKET_WIDEN = 1.01
-# Relative half-width of a bracket started from a root guess.
+# Relative half-width of a bracket started from a root guess: the guess's
+# spread (the root's predicted relative change, for the loading refine),
+# clipped into [_NEAR_FLOOR, _NEAR_WIDTH]; _NEAR_WIDTH if none is given.
+# 2^-33 is 16 to 32 grid cells, so it holds a root a few cells off.
 _NEAR_WIDTH = 1e-3
+_NEAR_FLOOR = 2.0 ** -33
+# Points per kernel call in the probe and the polish: a call's memory grows
+# with its points, almost all of it integer_jy's gather of 32 coefficients
+# per point, and a larger call is no faster per point (a two-ring probe
+# took ~0.7 us a point at 1,280 points and ~1.1 us at 5,120).
+_CHUNK = 1280
 # Every root is the midpoint of its cell on the grid of 38-significant-bit
 # floats, cells 2^-38 to 2^-37 (3.6e-12 to 7.3e-12) of the root wide; a
 # float64 is on that grid when its low _GRID_BITS mantissa bits are zero.
@@ -365,10 +374,36 @@ def _zero_count(orders, rings, rows) -> np.ndarray:
     return (1.0 + outer.sum(axis=0) - inner.sum(axis=0)).astype(int)
 
 
-def _probe(geometry, orders, freqs):
-    """The mode count N_m(f) and the rim displacement D at each point."""
+def _in_chunks(evaluate, geometry, orders, freqs):
+    """evaluate(geometry, orders, freqs), a tuple of arrays over the points,
+    taken _CHUNK points at a time: freqs is 1-D, and geometry and orders
+    broadcast against it as _propagate takes them.  Every point's values
+    depend on that point alone, so the chunks join to one call's bits."""
+    if freqs.size <= _CHUNK:
+        return evaluate(geometry, orders, freqs)
+    geometry = np.broadcast_to(geometry, geometry.shape[:-1] + freqs.shape)
+    orders = np.broadcast_to(orders, freqs.shape)
+    parts = [evaluate(geometry[..., at : at + _CHUNK], orders[at : at + _CHUNK], freqs[at : at + _CHUNK])
+             for at in range(0, freqs.size, _CHUNK)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _count(geometry, orders, freqs):
+    """N_m(f) and D at each point, from one _propagate call."""
     rings, rows, d, _ = _propagate(geometry, orders, freqs)
     return _zero_count(orders, rings, rows), d
+
+
+def _rim(geometry, orders, freqs):
+    """D and f dD/df at each point, from one _propagate call."""
+    _, _, d, g = _propagate(geometry, orders, freqs, slope=True)
+    return d, g
+
+
+def _probe(geometry, orders, freqs):
+    """The mode count N_m(f) and the rim displacement D at each point of
+    1-D freqs, _CHUNK points per kernel call."""
+    return _in_chunks(_count, geometry, orders, freqs)
 
 
 def _polish(
@@ -401,10 +436,11 @@ def _polish(
     bracket end of its own sign, and an exact zero closes the bracket on
     it.  A bracket is done when no grid point lies strictly inside it, so
     each step takes at least one grid point out.  Each step evaluates D
-    and f dD/df, in one _propagate call, at only the brackets not done; no
-    bracket's steps depend on another's.  Returns each bracket's final
-    cell's midpoint, or the grid point where D is exactly zero: a root
-    depends on its profile, not on the bracket it was polished from.
+    and f dD/df, in one _propagate call per _CHUNK brackets, at only the
+    brackets not done; no bracket's steps depend on another's.  Returns
+    each bracket's final cell's midpoint, or the grid point where D is
+    exactly zero: a root depends on its profile, not on the bracket it was
+    polished from.
     Raises ConvergenceError where D is NaN at a point.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
@@ -453,7 +489,7 @@ def _polish(
             allowed = width * 2.0 ** (_POLISH_SLACK - step - 1)
             aim = np.minimum(np.maximum(aim, hi - allowed), lo + allowed)
         aim = np.minimum(np.maximum((aim.view(np.int64) + nudge) & cut, first), last).view(float)
-        _, _, fx, gx = _propagate(geometry, orders, aim, slope=True)
+        fx, gx = _in_chunks(_rim, geometry, orders, aim)
         if np.isnan(fx).any():
             raise ConvergenceError("D is NaN at a polish point")
         move_hi = d_lo * fx < 0.0
@@ -495,19 +531,21 @@ def composite_modes(
     return _table(profile, m_max, n_max, roots)
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None):
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, spread=_NEAR_WIDTH):
     """composite_modes' roots for each profile in a stack of equal ring count:
     a row per profile in (m, n) order, m major, with no Mode built.
 
     The brackets of every (profile, m, n) form one array, so each bisection
     and polish step, and the probe of all bracket ends before them, is one
-    _propagate call for the whole stack.  Each bracket is solved on its
-    own, so each row is bit-identical to solving its profile alone.
-    near, if given, holds root guesses in that order, one row per profile
-    or one row for all: each bracket starts at near * (1 -/+ _NEAR_WIDTH)
-    clipped into its Sturm bracket, and an end whose count shows root n
-    beyond it falls back to its Sturm end.  Guesses move only the brackets:
-    each root is its grid cell's, so bit-identical to the cold solve's.
+    _propagate call per _CHUNK points for the whole stack.  Each bracket is
+    solved on its own, so each row is bit-identical to solving its profile
+    alone.  near, if given, holds root guesses in that order, one row per
+    profile or one row for all, and spread their relative half-widths,
+    broadcast the same way and clipped into [_NEAR_FLOOR, _NEAR_WIDTH]:
+    each bracket starts at near * (1 -/+ spread) clipped into its Sturm
+    bracket, and an end whose count shows root n beyond it falls back to
+    its Sturm end.  Guesses move only the brackets: each root is its grid
+    cell's, so bit-identical to the cold solve's.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -530,12 +568,13 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None):
     ends = [lo.ravel(), hi.ravel()]
     if near is not None:
         guess = np.broadcast_to(np.asarray(near, dtype=float), lo.shape).ravel()
+        half = np.broadcast_to(np.clip(spread, _NEAR_FLOOR, _NEAR_WIDTH), lo.shape).ravel()
         # fmax and fmin keep a NaN guess's ends on the Sturm ones.
         ends += [
-            np.fmin(np.fmax(guess * (1.0 - _NEAR_WIDTH), ends[0]), ends[1]),
-            np.fmin(np.fmax(guess * (1.0 + _NEAR_WIDTH), ends[0]), ends[1]),
+            np.fmin(np.fmax(guess * (1.0 - half), ends[0]), ends[1]),
+            np.fmin(np.fmax(guess * (1.0 + half), ends[0]), ends[1]),
         ]
-    # Every end of every bracket in one call; one row of counts per end.
+    # Every end of every bracket in one probe; one row of counts per end.
     point = np.repeat(np.arange(len(profiles)), width)
     m, n = np.tile(m, len(profiles)), np.tile(n, len(profiles))
     counts, ds = _probe(

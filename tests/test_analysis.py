@@ -8,6 +8,7 @@ from membrane_lab.analysis import (
     Peak,
     _hann,
     _longest_run,
+    _median,
     _moving_rms,
     _stft_band_track,
     analyze,
@@ -291,6 +292,39 @@ class TestMovingRms:
         env = _moving_rms(x, window)
         assert env.shape == x.shape
         assert np.array_equal(env, self.clipped_take(x, window))
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 129, 1000, 16385])
+    def test_equals_numpy_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for values in (
+            rng.normal(0.0, 1.0, size),
+            rng.lognormal(0.0, 20.0, size),
+            rng.integers(-3, 4, size).astype(float),  # ties
+            np.full(size, 0.1),
+            np.where(rng.random(size) < 0.5, 0.0, -0.0),
+        ):
+            assert _median(values).hex() == float(np.median(values)).hex()
+
+    def test_leaves_its_input_as_it_was(self):
+        values = np.array([3.0, 1.0, 2.0, 5.0])
+        assert _median(values) == 2.5
+        assert values.tolist() == [3.0, 1.0, 2.0, 5.0]
+
+
+def test_analyze_checks_the_clip_once(monkeypatch):
+    # Each stage that analyze runs takes the clip its entry point checked.
+    from membrane_lab import analysis
+
+    checked = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(analysis.np, "isfinite", lambda x: checked.append(np.size(x)) or isfinite(x))
+    t = np.arange(FS) / FS
+    clip = np.exp(-3.0 * t) * sum(np.sin(2.0 * math.pi * k * 200.0 * t) / k for k in (1, 2, 3))
+    report = analyze(clip, FS)
+    assert report.decay is not None and report.adsr is not None
+    assert checked == [FS]
 
 
 def test_hann_window_is_shared_read_only():

@@ -713,6 +713,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, command):
     else:
         loaded = [layer for layer in _UNUSED_LAYERS[command] if f"membrane_lab.{layer}" in modules]
         assert loaded == []
+    if command in ("analyze", "classify"):
+        # np.median imports numpy.ma, ~18 ms of a fresh process; the
+        # analysis takes its medians by partition.
+        assert "numpy.ma" not in modules
 
 
 class TestJsonFormatter:

@@ -422,6 +422,82 @@ class TestStackedSolve:
         assert (exc.value.azimuthal_order, exc.value.found) == (1, 0)
 
 
+class TestChunkedKernel:
+    CHUNK = membrane._CHUNK
+
+    @staticmethod
+    def points(size):
+        """size kernel points, each of one of three two-ring profiles at an
+        order in [0, 8] and a frequency spanning their lowest roots."""
+        rng = np.random.default_rng(size)
+        geometry = membrane._ring_geometry([two_ring(0.4, 3.7), two_ring(0.2, 12.0), two_ring(0.6, 1.5)])
+        return (geometry[..., rng.integers(0, 3, size)], rng.integers(0, 9, size).astype(float),
+                rng.uniform(0.05, 3.0, size))
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_chunks_join_to_one_calls_bits(self, monkeypatch, size):
+        # The probe's counts and D, and the polish's D and f dD/df, taken
+        # _CHUNK points a call, are one call's to the bit.
+        geometry, orders, freqs = self.points(size)
+        whole = [*membrane._count(geometry, orders, freqs), *membrane._rim(geometry, orders, freqs)]
+        sizes = []
+        propagate = membrane._propagate
+        monkeypatch.setattr(
+            membrane, "_propagate", lambda g, o, f, **kw: sizes.append(f.size) or propagate(g, o, f, **kw)
+        )
+        chunked = [*membrane._probe(geometry, orders, freqs),
+                   *membrane._in_chunks(membrane._rim, geometry, orders, freqs)]
+        assert sizes == 2 * [min(self.CHUNK, size - at) for at in range(0, size, self.CHUNK)]
+        assert np.array_equal(chunked[0], whole[0])
+        for a, b in zip(chunked[1:], whole[1:]):
+            assert a.shape == (size,) and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_a_probe_of_one_profile_broadcasts_across_chunks(self, monkeypatch):
+        # One profile's geometry, shape (2, rings, 1), serves every chunk.
+        profile = two_ring(0.4, 3.7)
+        m = np.repeat(np.arange(5), 4)
+        roots = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        monkeypatch.setattr(membrane, "_CHUNK", 7)
+        counts, _ = membrane._probe(membrane._ring_geometry([profile]), m, roots * (1.0 + 1e-9))
+        assert np.array_equal(counts, np.tile(np.arange(1, 5), 5))
+
+    def test_roots_of_random_profiles_do_not_depend_on_the_chunk(self, monkeypatch):
+        # 48 random profiles of 1-33 rings at density contrast up to 50,
+        # solved with every kernel call cut to 7 points and in whole calls.
+        rng = np.random.default_rng(19)
+        profiles = []
+        for _ in range(48):
+            count = int(rng.integers(1, 34))
+            edges = np.cumsum(rng.uniform(1.0, 10.0, count))
+            edges /= edges[-1]
+            edges[-1] = 1.0
+            profiles.append(RadialDensityProfile(1.0, 1.0, tuple(zip(edges, rng.uniform(1.0, 50.0, count)))))
+        monkeypatch.setattr(membrane, "_CHUNK", 10 ** 9)
+        whole = [membrane._solve_stack([p], 4, 4, math.inf)[0] for p in profiles]
+        monkeypatch.setattr(membrane, "_CHUNK", 7)
+        for profile, row in zip(profiles, whole):
+            chunked = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+            assert [f.hex() for f in chunked] == [f.hex() for f in row]
+
+    def test_a_288_profile_stack_peaks_no_higher_than_64_profiles_in_whole_calls(self):
+        # With every step one kernel call, a 64-profile stack of these grid
+        # points peaked at 4.94 MB under tracemalloc, ~76 KB per profile,
+        # and a 288-profile one at 20.6 MB.
+        import itertools
+        import tracemalloc
+
+        axes = (np.linspace(0.1, 0.7, 24), np.linspace(1.0, 16.0, 24))
+        profiles = [two_ring(f, r) for f, r in itertools.islice(itertools.product(*axes), 288)]
+        membrane._solve_stack(profiles[:1], 4, 4, math.inf)  # load the Bessel tables first
+        tracemalloc.start()
+        try:
+            membrane._solve_stack(profiles, 4, 4, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.94e6
+
+
 # Stub residuals with a root at 1.003 inside the bracket [1.0, 1.05].
 POLISH_STUBS = pytest.mark.parametrize(
     "residual, derivative, most",
@@ -629,6 +705,30 @@ class TestWarmStart:
         for guess in guesses:
             warm = membrane._solve_stack([profile], 4, 4, math.inf, near=guess)[0]
             assert [f.hex() for f in warm] == [f.hex() for f in cold]
+
+    @pytest.mark.parametrize("offset, inside", [(0.0, True), (2.0 ** -37, True), (2.0 ** -30, False)],
+                             ids=["exact", "a-cell-off", "beyond-its-width"])
+    @pytest.mark.parametrize("spread", [0.0, 2.0 ** -40])
+    def test_the_narrowest_bracket_is_the_cold_solve_bit_for_bit(self, offset, inside, spread):
+        # A spread below _NEAR_FLOOR brackets each guess 2^-33 either side:
+        # that holds a root a cell or two off, and one beyond it falls back
+        # to its Sturm end.
+        profile = two_ring(0.4, 3.7)
+        cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        guess = cold * (1.0 + offset)
+        floor = membrane._NEAR_FLOOR
+        held = (guess * (1.0 - floor) < cold) & (cold < guess * (1.0 + floor))
+        assert held.all() if inside else not held.any()
+        warm = membrane._solve_stack([profile], 4, 4, math.inf, near=guess, spread=spread)[0]
+        assert [f.hex() for f in warm] == [f.hex() for f in cold]
+
+    def test_spreads_are_per_root(self):
+        # Each root's bracket takes its own spread, clipped to _NEAR_WIDTH.
+        profile = two_ring(0.25, 9.0)
+        cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        spread = np.geomspace(1e-14, 10.0, cold.size)
+        warm = membrane._solve_stack([profile], 4, 4, math.inf, near=cold * (1.0 + 1e-4), spread=spread)[0]
+        assert [f.hex() for f in warm] == [f.hex() for f in cold]
 
 
 def scipy_jy(orders, x):
