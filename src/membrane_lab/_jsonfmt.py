@@ -10,6 +10,7 @@ truncate.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -31,12 +32,12 @@ def _fmt(value, indent: int, level: int) -> str:
             raise ValueError(f"non-finite float in report: {value}")
         return format(value, ".9g")
     if isinstance(value, str):
-        return _escape(value)
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{pad}{_escape(str(k))}: {_fmt(v, indent, level + 1)}"
+            f"{pad}{json.dumps(str(k), ensure_ascii=False)}: {_fmt(v, indent, level + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + closing + "}"
@@ -46,21 +47,6 @@ def _fmt(value, indent: int, level: int) -> str:
         items = [f"{pad}{_fmt(v, indent, level + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + closing + "]"
     raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
-def _escape(text: str) -> str:
-    out = ["\""]
-    for ch in text:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
 
 
 def number(value, name: str) -> float:

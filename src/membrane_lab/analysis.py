@@ -235,6 +235,8 @@ def detect_peaks(
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
     m = spectrum.magnitudes
+    if m.size == 0:
+        raise ValueError("spectrum has no bins")
     floor = _median(m)
     if floor <= 0.0:
         positive = m[m > 0.0]

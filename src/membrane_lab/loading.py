@@ -153,23 +153,22 @@ class OptimizationResult:
 
 
 def harmonic_objective(profile: RadialDensityProfile, overtones: int) -> HarmonicAssessment:
-    """Harmonicity over the window spanning `overtones` overtone pitches.
+    """Harmonicity of the overtone pitches 2 .. overtones + 1.
 
-    Assesses every mode up to (overtones + 1).55 x the implied fundamental
-    against the integers 2 .. overtones + 1: one claim per integer, shadow
-    modes between teeth reported but unscored.  This is the played series
-    the design is after; judging every raw mode individually would demand
-    that degenerate partners collapse exactly, which a radial loading
-    cannot do and the instrument does not need.
+    Rates every mode below (overtones + 1.5) x the implied fundamental
+    against the integers 2 .. overtones + 1 (harmonicity_score rates no
+    higher one): one claim per integer, shadow modes between teeth
+    reported but unscored.  This is the played series the design is
+    after; judging every raw mode individually would demand that
+    degenerate partners collapse exactly, which a radial loading cannot
+    do and the instrument does not need.
     """
     return _assessment(_solve_stack([profile], _OBJ_M_MAX, _OBJ_N_MAX, math.inf)[0], overtones)
 
 
 def _assessment(roots, overtones: int) -> HarmonicAssessment:
     """harmonic_objective of a profile whose _solve_stack row is roots."""
-    freqs = np.sort(roots)
-    window = freqs[freqs <= (overtones + 1.55) * freqs[1] / 2.0]
-    return harmonicity_score(window, max_overtone=overtones + 1)
+    return harmonicity_score(np.sort(roots), max_overtone=overtones + 1)
 
 
 def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +180,7 @@ def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, n
     The search value is harmonic_objective's score plus a penalty of 0.25
     (a worst-case squared deviation) for every overtone integer left
     without a claiming mode: a series with a silent tooth is not a series.
-    Modes above the objective's window rate against no scored integer, so
-    the claims need no window.
+    Modes above the highest scored integer rate against none of them.
     """
     guesses, spreads = (None, None) if near is None else near
     roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=guesses, spread=spreads)

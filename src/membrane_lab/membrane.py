@@ -418,29 +418,26 @@ def _polish(
     roots' cells on the grid of 38-significant-bit floats.
 
     Each bracket holds one root, at a sign change of D or at an end where
-    D is exactly zero.  Safeguarded Newton (rtsafe, Press et al.,
-    Numerical Recipes 9.4) on the exact f dD/df that _propagate carries,
-    with every point a grid point strictly inside the bracket.  The first
-    aim is where the chord through the bracket ends crosses zero (the
-    midpoint if that is NaN).  Each later one is the Newton point of the
-    shortest Newton step from any point so far, if it lies strictly inside
-    the bracket and that step is at most half the step before the last,
-    and else the midpoint; so a point pulled off its Newton step by the
-    safeguard below does not lose it.  As a bisection safeguard the aim is
-    pulled toward the midpoint just far enough that neither part is wider
-    than bisection would have left the bracket _POLISH_SLACK steps
-    earlier.  A Newton aim is then rounded onto the grid away from the last
-    point, so that it lands beyond the root and the far end moves too, and
-    any other to the nearest grid point; the point is that, clipped to the
-    first and last grid points inside the bracket.  It replaces the
-    bracket end of its own sign, and an exact zero closes the bracket on
-    it.  A bracket is done when no grid point lies strictly inside it, so
-    each step takes at least one grid point out.  Each step evaluates D
-    and f dD/df, in one _propagate call per _CHUNK brackets, at only the
-    brackets not done; no bracket's steps depend on another's.  Returns
-    each bracket's final cell's midpoint, or the grid point where D is
-    exactly zero: a root depends on its profile, not on the bracket it was
-    polished from.
+    D is exactly zero.  Newton on the exact f dD/df that _propagate
+    carries, safeguarded by bisection.  Each step aims at the Newton point
+    of the shortest Newton step from any point so far if that lies
+    strictly inside the bracket, and at the midpoint otherwise; before the
+    first step the Newton point is where the chord through the bracket
+    ends crosses zero (a NaN one lies inside no bracket).  So a point pulled off
+    its Newton step by the safeguard does not lose it.  The safeguard
+    pulls the aim toward the midpoint just far enough that neither part is
+    wider than bisection would have left the bracket _POLISH_SLACK steps
+    earlier; where Newton points all approach the root from one side, it
+    is the safeguard that moves the far end.  The aim is rounded to the
+    nearest grid point and clipped to the first and last grid points
+    inside the bracket.  That point replaces the bracket end of its own
+    sign, and an exact zero closes the bracket on it.  A bracket is done
+    when no grid point lies strictly inside it, so each step takes at
+    least one grid point out.  Each step evaluates D and f dD/df, in one
+    _propagate call per _CHUNK brackets, at only the brackets not done; no
+    bracket's steps depend on another's.  Returns each bracket's final
+    cell's midpoint, or the grid point where D is exactly zero: a root
+    depends on its profile, not on the bracket it was polished from.
     Raises ConvergenceError where D is NaN at a point.
     """
     lo, hi, d_lo, d_hi = (np.array(a, dtype=float) for a in (lo, hi, d_lo, d_hi))
@@ -450,14 +447,12 @@ def _polish(
     cell = np.int64(1 << _GRID_BITS)
     cut = ~(cell - 1)
     # The brackets still open, as indices into roots, and for each its
-    # start width, its last point, the lengths of the step that reached it
-    # and of the step before (rtsafe starts both at the bracket's width),
-    # and of all the Newton steps from its points so far the shortest, as
-    # the correction its point less the Newton point, and that Newton point
-    # (the midpoint before any).
+    # start width and, of all the Newton steps from its points so far, the
+    # shortest, as the correction its point less the Newton point, and
+    # that Newton point (the chord's zero before any).
     pending = np.arange(lo.size)
-    width = taken = before = hi - lo
-    x = newton = 0.5 * (lo + hi)
+    width = hi - lo
+    newton = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
     fix = np.full(lo.size, np.inf)
     for step in range(BISECT_CAP):
         # The grid points at and just above lo, and the last one below hi.
@@ -471,24 +466,15 @@ def _polish(
             roots[pending[shut]] = np.where(g == h, h, 0.5 * (g + first[shut].view(float)))
             if not going.any():
                 return roots
-            state = (pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken,
-                     before, first, last)
-            (pending, geometry, orders, width, lo, hi, d_lo, d_hi, x, newton, fix, taken,
-             before, first, last) = (a[..., going] for a in state)
-        mid = 0.5 * (lo + hi)
-        if step:
-            bold = (lo < newton) & (newton < hi) & (2.0 * np.abs(fix) <= before)
-            aim = np.where(bold, newton, mid)
-            # Added before the cut: cell - 1 rounds up, 0 down, half a cell to nearest.
-            nudge = np.where(bold, np.where(newton > x, cell - 1, 0), cell >> 1)
-        else:
-            aim = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
-            aim = np.where(np.isnan(aim), mid, aim)
-            nudge = cell >> 1
+            state = (pending, geometry, orders, width, lo, hi, d_lo, d_hi, newton, fix, first, last)
+            (pending, geometry, orders, width, lo, hi, d_lo, d_hi, newton, fix, first, last) = (
+                a[..., going] for a in state)
+        aim = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         if step >= _POLISH_SLACK:  # before, allowed >= width and cannot bind
             allowed = width * 2.0 ** (_POLISH_SLACK - step - 1)
             aim = np.minimum(np.maximum(aim, hi - allowed), lo + allowed)
-        aim = np.minimum(np.maximum((aim.view(np.int64) + nudge) & cut, first), last).view(float)
+        # Half a cell added before the cut rounds to the nearest grid point.
+        aim = np.minimum(np.maximum((aim.view(np.int64) + (cell >> 1)) & cut, first), last).view(float)
         fx, gx = _in_chunks(_rim, geometry, orders, aim)
         if np.isnan(fx).any():
             raise ConvergenceError("D is NaN at a polish point")
@@ -499,9 +485,6 @@ def _polish(
         correction = aim * fx / gx
         shorter = np.abs(correction) < np.abs(fix)
         newton, fix = np.where(shorter, aim - correction, newton), np.where(shorter, correction, fix)
-        if step:
-            before, taken = taken, np.abs(aim - x)
-        x = aim
     raise ConvergenceError(
         f"bracketed root failed to converge in {BISECT_CAP} polish steps"
     )

@@ -6,6 +6,7 @@ import pytest
 from membrane_lab.analysis import (
     AnalysisReport,
     Peak,
+    Spectrum,
     _hann,
     _longest_run,
     _median,
@@ -116,6 +117,17 @@ class TestDetectPeaks:
         found = sorted(p.frequency for p in peaks[:2])
         assert abs(found[0] - f1) < 2 * df
         assert abs(found[1] - f2) < 2 * df
+
+    def test_a_spectrum_without_bins_is_refused(self):
+        empty = Spectrum(np.zeros(0), np.zeros(0), "hann", 256, 100.0)
+        with pytest.raises(ValueError, match="spectrum has no bins"):
+            detect_peaks(empty)
+
+    @pytest.mark.parametrize("magnitudes", [[1.0], [1.0, 2.0]])
+    def test_one_or_two_bins_hold_no_peak(self, magnitudes):
+        # A peak needs a bin on either side of it.
+        bins = len(magnitudes)
+        assert detect_peaks(Spectrum(np.arange(bins) * 100.0 / 256, np.array(magnitudes), "hann", 256, 100.0)) == []
 
     def test_prominence_floor_enforced(self):
         s = compute_spectrum(sine(440.0), FS, 4096)

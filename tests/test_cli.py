@@ -746,3 +746,12 @@ class TestJsonFormatter:
 
         with pytest.raises(ValueError):
             dumps({"x": float("nan")})
+
+    def test_strings_round_trip_as_values_and_keys(self):
+        from membrane_lab._jsonfmt import dumps
+
+        texts = [chr(code) for code in range(0x20)] + ['"', "\\", "dheem தம்", " ﻿\U0010ffff"]
+        for text in texts:
+            assert json.loads(dumps({text: text})) == {text: text}
+        # Non-ASCII text is written as itself, not escaped.
+        assert "த" in dumps(["த"])

@@ -502,12 +502,16 @@ class TestChunkedKernel:
 POLISH_STUBS = pytest.mark.parametrize(
     "residual, derivative, most",
     [
-        # D(lo) -0.45, D(hi) 1.2e4; Illinois false position took 18 calls.
+        # D(lo) -0.45, D(hi) 1.2e4; the polish takes 7 calls, Illinois
+        # false position took 18.
         (lambda f: np.expm1(200.0 * (f - 1.003)), lambda f: 200.0 * np.exp(200.0 * (f - 1.003)), 8),
         # flat at the root
         (lambda f: (f - 1.003) ** 3, lambda f: 3.0 * (f - 1.003) ** 2, math.inf),
+        # The chord's zero is the first Newton point: it lands on the root's
+        # grid cell, and the Newton step from there closes the bracket.
+        (lambda f: f - 1.003, np.ones_like, 2),
     ],
-    ids=["asymmetric", "cubic"],
+    ids=["asymmetric", "cubic", "linear"],
 )
 
 
@@ -669,6 +673,33 @@ class TestCountCertificate:
         heavier = composite_modes(RadialDensityProfile(1.0, 1.0, tuple(rings)), 2, 2, math.inf)
         light = {(mo.m, mo.n): mo.frequency for mo in table}
         assert all(mo.frequency < light[mo.m, mo.n] for mo in heavier)
+
+    def test_every_root_is_certified_by_its_own_grid_cell(self):
+        # Each root is the midpoint of its cell on the grid of
+        # 38-significant-bit floats, or a grid point where D is exactly 0;
+        # D changes sign across the cell, and N_m counts root n in it alone.
+        # This holds whatever steps the polish took to reach the cell.
+        cell = np.int64(1 << membrane._GRID_BITS)
+        m, n = np.repeat(np.arange(9), 5), np.tile(np.arange(1, 6), 9)
+        rng = np.random.default_rng(48)
+        for _ in range(48):
+            count = int(rng.integers(1, 33))
+            edges = np.cumsum(rng.uniform(1.0, 10.0, count))
+            edges /= edges[-1]
+            edges[-1] = 1.0
+            profile = RadialDensityProfile(1.0, 1.0, tuple(zip(edges, rng.uniform(1.0, 50.0, count))))
+            roots = membrane._solve_stack([profile], 8, 5, math.inf)[0]
+            bits = roots.view(np.int64)
+            floor = bits & ~(cell - 1)
+            on_grid = floor == bits
+            below = np.where(on_grid, bits - cell, floor).view(float)
+            above = np.where(on_grid, bits + cell, floor + cell).view(float)
+            geometry = membrane._ring_geometry([profile])
+            counts, d = membrane._probe(geometry, np.concatenate([m, m]), np.concatenate([below, above]))
+            assert np.all(np.where(on_grid, membrane._probe(geometry, m, roots)[1] == 0.0,
+                                   roots == 0.5 * (below + above)))
+            assert np.all(d[: m.size] * d[m.size :] <= 0.0)
+            assert np.array_equal(counts, np.concatenate([n - 1, n]))
 
 
 class TestRingPasses:
