@@ -195,6 +195,15 @@ def _hann(n: int) -> np.ndarray:
     return window
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_phasors(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j < n, built once per size; read-only, as every
+    caller shares it."""
+    phasors = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    phasors.flags.writeable = False
+    return phasors
+
+
 def _median(values: np.ndarray) -> float:
     """np.median of a non-empty finite 1-D array, bit for bit, without the
     numpy.ma import that np.median costs a fresh process: like it, the
@@ -351,7 +360,8 @@ def group_harmonics(
 
 def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, hop_s):
     """Per-frame max magnitude inside the band, with frame-centre times: the
-    band's rfft bins only, as a matmul of the frames with their windowed cos/sin basis."""
+    band's rfft bins only, as products of the clip's hop-long rows with slices
+    of their windowed cos/sin basis."""
     x = np.asarray(waveform, dtype=float)
     n_frame = int(round(frame_s * sample_rate))
     n_hop = max(1, int(round(hop_s * sample_rate)))
@@ -365,21 +375,26 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
         freqs <= band_center + band_width / 2.0
     )
     bins = np.flatnonzero(band) if band.any() else [np.argmin(np.abs(freqs - band_center))]
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
-    # Frames overlap n_frame / n_hop times, so a product of them all at once
-    # would hold that many copies of the clip; a block holds one.
-    blocks = np.array_split(frames, max(1, n_frame // n_hop))
-    mags = np.zeros(len(frames))
-    unit = np.arange(n_frame) * (2.0 * math.pi / n_frame)
-    cos, sin = np.cos(unit), np.sin(unit)
+    n_frames = (x.size - n_frame) // n_hop + 1
+    # Frame i is hop rows i .. i + whole - 1 and then the first `rest` samples
+    # of row i + whole, so no sample is copied once per frame that holds it.
+    whole, rest = divmod(n_frame, n_hop)
+    rows = x[: (n_frames + whole - 1) * n_hop].reshape(-1, n_hop)
+    tails = np.lib.stride_tricks.sliding_window_view(x[whole * n_hop :], rest)[::n_hop]
+    mags = np.zeros(n_frames)
     # At most 32 bins a basis, so that a wide band never holds n_frame x bins.
     for part in np.array_split(bins, -(-len(bins) // 32)):
         # j * k reduced mod n_frame in integers, so no phase loses precision
-        jk = np.outer(np.arange(n_frame), part) % n_frame
-        basis = _hann(n_frame)[:, None] * np.hstack([cos[jk], sin[jk]])
-        part_max = [np.max(np.hypot(*np.hsplit(b @ basis, 2)), axis=-1) for b in blocks]
-        np.maximum(mags, np.concatenate(part_max), out=mags)
-    times = (n_hop * np.arange(len(frames)) + 0.5 * n_frame) / sample_rate
+        jk = np.outer(np.arange(n_frame), part)
+        basis = _unit_phasors(n_frame).take(np.remainder(jk, n_frame, out=jk))
+        basis *= _hann(n_frame)[:, None]
+        # Each bin's (cos, sin) pair as two real columns
+        basis = basis.view(float)
+        dft = tails @ basis[whole * n_hop :]
+        for q in range(whole):
+            dft += rows[q : q + n_frames] @ basis[q * n_hop : (q + 1) * n_hop]
+        np.maximum(mags, np.max(np.abs(dft.view(complex)), axis=-1), out=mags)
+    times = (n_hop * np.arange(n_frames) + 0.5 * n_frame) / sample_rate
     return times, mags
 
 
@@ -431,12 +446,15 @@ def _moving_rms(x: np.ndarray, window: int) -> np.ndarray:
     The window's ends are clipped onto the clip's running sum, not padded
     with zeros, so every array is the clip's size whatever the window's."""
     n, half = x.size, window // 2
-    csum = np.concatenate([[0.0], np.cumsum(x * x)])
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(np.square(x, out=csum[1:]), out=csum[1:])
     # Sample i sums csum[min(i - half + window, n)] - csum[max(i - half, 0)],
     # never below 0, as a running sum of squares never decreases.
     inside = min(n, max(0, n + half - window))
-    total = np.full(n, csum[-1])
+    total = np.empty(n)
     total[:inside] = csum[window - half : window - half + inside]
+    total[inside:] = csum[-1]
     total[min(n, half) :] -= csum[: max(0, n - half)]
     total /= window
     return np.sqrt(total, out=total)
@@ -580,17 +598,22 @@ def _merge_close_peaks(peaks, min_separation: float = 0.025):
     return kept
 
 
-def _dominant_band_drift(waveform, sample_rate, dominant_hz) -> float:
-    """Relative frequency drift of the dominant partial, early vs late."""
+def _dominant_band_drift(waveform, sample_rate, dominant_hz, spectrum=None) -> float:
+    """Relative frequency drift of the dominant partial, early vs late.
+
+    spectrum, the clip's own compute_spectrum, stands in for the early
+    third's when it is the same transform: Hann, of the same size, and so
+    of the same leading samples."""
     x = np.asarray(waveform, dtype=float)
     seg = x.size // 3
     if seg < 2048:
         return 0.0
     width = max(dominant_hz * 0.5, 40.0)
 
-    def seg_peak(part):
-        n = 1 << int(math.floor(math.log2(part.size)))
-        spec = compute_spectrum(_Checked(part), sample_rate, max(256, min(n, 2 ** 20)))
+    def seg_peak(part, spec=None):
+        n = max(256, min(1 << int(math.floor(math.log2(part.size))), 2 ** 20))
+        if spec is None or (spec.fft_size, spec.window) != (n, "hann"):
+            spec = compute_spectrum(_Checked(part), sample_rate, n)
         sel = (spec.bin_frequencies >= dominant_hz - width) & (
             spec.bin_frequencies <= dominant_hz + width * 1.8
         )
@@ -599,7 +622,7 @@ def _dominant_band_drift(waveform, sample_rate, dominant_hz) -> float:
         mags = np.where(sel, spec.magnitudes, 0.0)
         return spec.bin_frequencies[int(np.argmax(mags))]
 
-    early = seg_peak(x[:seg])
+    early = seg_peak(x[:seg], spectrum)
     late = seg_peak(x[2 * seg :])
     if early <= 0:
         return 0.0
@@ -666,7 +689,7 @@ def extract_features(
         dominant_ratio=dominant.frequency / f0,
         dominant_prominence_db=dominant.prominence_db,
         attack_centroid_ratio=spectral_centroid(attack_spec) / f0,
-        glide_drift=_dominant_band_drift(x, sample_rate, dominant.frequency),
+        glide_drift=_dominant_band_drift(x, sample_rate, dominant.frequency, spectrum),
         grouping=grouping,
         adsr=adsr,
         decay=decay_fit,

@@ -160,13 +160,15 @@ def render_stroke(
     Each partial is rendered by block phasors: sample r*B + j (B = 512) is
     Im(a exp(s t_r + i phi) exp(s t_j)) with s = -lambda + 2 pi i f, so it costs
     blocks + B complex exponentials on a (blocks x B) grid, not n each of exp and sin.
+    The steady partials' sum Im(R @ C), with R the (blocks x P) row phasors
+    and C the (P x B) column phasors, is one real product
+    [Re R | Im R] @ [Im C ; Re C]; each gliding partial adds its own grid term.
     """
     nyquist = spec.sample_rate / 2.0
     n_blocks = -(-spec.n_samples // _BLOCK)
     t_row = np.arange(n_blocks)[:, None] * (_BLOCK / spec.sample_rate)
     t_col = np.arange(_BLOCK) / spec.sample_rate
-    grid = np.zeros((n_blocks, _BLOCK))
-    scratch = np.empty_like(grid)
+    steady, gliding = [], []
     for e in template.excitations:
         if e.mode_index >= len(modes):
             raise IndexOutOfRange(
@@ -178,19 +180,24 @@ def render_stroke(
             raise NyquistViolation(
                 f"mode at {max(f, f_end):.1f} Hz reaches the Nyquist limit {nyquist:.1f} Hz"
             )
+        (gliding if e.glide_frac_per_s else steady).append((e, f))
+    s = np.array([complex(-e.decay_constant, 2.0 * math.pi * f) for e, f in steady])
+    amplitude = np.array([e.amplitude for e, _ in steady])
+    phase = np.array([e.phase for e, _ in steady])
+    rows = amplitude * np.exp(t_row * s + 1j * phase)
+    cols = np.exp(s[:, None] * t_col)
+    grid = np.hstack([rows.real, rows.imag]) @ np.vstack([cols.imag, cols.real])
+    for e, f in gliding:
         s = complex(-e.decay_constant, 2.0 * math.pi * f)
         # A glide adds the chirp pi f g t^2 = pi f g (t_r^2 + t_j (t_j + 2 t_r)) to the
         # phase; its cross term makes the column factor a full grid.
         chirp = 1j * math.pi * f * e.glide_frac_per_s
         row = e.amplitude * np.exp(s * t_row + chirp * t_row * t_row + 1j * e.phase)
-        col = chirp * t_col * (t_col + 2.0 * t_row) if chirp else np.zeros(_BLOCK, complex)
+        col = chirp * t_col * (t_col + 2.0 * t_row)
         col += s * t_col
         np.exp(col, out=col)
-        # Im(row * col), accumulated in place
-        np.multiply(row.real, col.imag, out=scratch)
-        grid += scratch
-        np.multiply(row.imag, col.real, out=scratch)
-        grid += scratch
+        col *= row
+        grid += col.imag
     out = grid.reshape(-1)[: spec.n_samples]
     if template.noise_burst is not None and template.noise_burst.duration > 0:
         n_burst = min(spec.n_samples, int(round(template.noise_burst.duration * spec.sample_rate)))

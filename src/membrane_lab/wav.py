@@ -59,5 +59,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     # chunk size points its seek outside the file.
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise UnsupportedFormat(f"not a readable PCM WAV file: {str(exc) or type(exc).__name__}") from exc
+    if len(raw) % 2:
+        raise UnsupportedFormat(
+            f"not a readable PCM WAV file: its data ends mid-sample, after {len(raw)} bytes"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / _FULL_SCALE
     return samples, rate

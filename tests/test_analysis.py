@@ -7,6 +7,7 @@ from membrane_lab.analysis import (
     AnalysisReport,
     Peak,
     Spectrum,
+    _dominant_band_drift,
     _hann,
     _longest_run,
     _median,
@@ -266,12 +267,14 @@ class TestBandTrack:
     @pytest.mark.parametrize(
         "n, center, width, frame_s, hop_s",
         [
-            (2 * FS, 300.0, 80.0, 0.1, 0.025),
+            (2 * FS, 300.0, 80.0, 0.1, 0.025),  # 4 hops and 2 samples a frame
             (2 * FS, 305.0, 0.5, 0.1, 0.025),  # no bin in the band: the nearest one
-            (FS + 777, 300.0, 80.0, 0.1, 0.025),  # 37 frames in 4 blocks
-            (FS, 450.0, 60.0, 0.05, 0.02),  # 2 blocks of uneven size
+            (FS + 777, 300.0, 80.0, 0.1, 0.025),  # 37 frames, the clip's end unread
+            (FS, 450.0, 60.0, 0.05, 0.02),  # 2 hops and 441 samples
             (FS, 6000.0, 4000.0, 0.1, 0.025),  # 401 bins, more than one basis
-            (FS, 300.0, 80.0, 0.1, 0.2),  # hop longer than the frame
+            (FS, 300.0, 80.0, 0.1, 0.2),  # hop longer than the frame: no whole hop
+            (FS, 300.0, 80.0, 0.1, 0.05),  # exactly 2 hops, no remainder
+            (FS + 300, 300.0, 80.0, 0.1, 0.0107),  # 9 hops of 472 and 162 samples
         ],
     )
     def test_matches_the_full_rfft(self, n, center, width, frame_s, hop_s):
@@ -337,6 +340,38 @@ def test_analyze_checks_the_clip_once(monkeypatch):
     report = analyze(clip, FS)
     assert report.decay is not None and report.adsr is not None
     assert checked == [FS]
+
+
+class TestSpectrumReuse:
+    @staticmethod
+    def clip(duration):
+        template, head = load_default_templates()["gumkki"]
+        spec = RenderSpec(FS, duration, 0.9)
+        return render_stroke(reference_mode_table(110.0, head), template, spec, seed=5)
+
+    # The glide test's early third starts with the clip's own 32,768-point
+    # spectrum from 2.5 s on; a 1 s clip's third takes an 8,192-point one.
+    @pytest.mark.parametrize("duration, spectra", [(1.0, 4), (2.5, 3), (4.0, 3)])
+    def test_analyze_counts_its_spectra(self, monkeypatch, duration, spectra):
+        from membrane_lab import analysis
+
+        calls = []
+        spectrum = analysis.compute_spectrum
+        monkeypatch.setattr(
+            analysis, "compute_spectrum", lambda *a, **k: calls.append(a) or spectrum(*a, **k)
+        )
+        report = analyze(self.clip(duration), FS)
+        assert report.label == "gumkki"
+        assert len(calls) == spectra
+
+    @pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
+    def test_drift_is_the_same_with_the_clip_spectrum(self, duration):
+        x = self.clip(duration)
+        whole = compute_spectrum(x, FS, 32768)
+        dominant = 110.0 * 0.55  # the left head's lowest mode, which glides
+        drift = _dominant_band_drift(x, FS, dominant)
+        assert drift != 0.0
+        assert _dominant_band_drift(x, FS, dominant, whole) == drift
 
 
 def test_hann_window_is_shared_read_only():

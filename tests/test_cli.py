@@ -109,6 +109,13 @@ class TestUsageAndDataErrors:
         fake.write_bytes(b"not audio")
         assert run("analyze", str(fake)) == 2
 
+    def test_wav_cut_mid_sample_is_data_error(self, tmp_path, capsys):
+        clip = tmp_path / "cut.wav"
+        write_wav(np.zeros(64), 8000, clip)
+        clip.write_bytes(clip.read_bytes()[:-1])
+        assert run("analyze", str(clip)) == 2
+        assert "not a readable PCM WAV file" in capsys.readouterr().err
+
 
 TEMPLATE = {
     "name": "ta",

@@ -138,32 +138,49 @@ def direct_render(modes, template, spec, seed=0):
         inst = 2.0 * math.pi * f * (t + 0.5 * e.glide_frac_per_s * t * t) + e.phase
         out += e.amplitude * np.exp(-e.decay_constant * t) * np.sin(inst)
     burst = template.noise_burst
-    n_burst = min(spec.n_samples, int(round(burst.duration * spec.sample_rate)))
-    out[:n_burst] += burst.amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n_burst)
+    if burst is not None:
+        n_burst = min(spec.n_samples, int(round(burst.duration * spec.sample_rate)))
+        out[:n_burst] += burst.amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n_burst)
     return out
 
 
 class TestBlockPhasorRender:
-    TEMPLATE = StrokeTemplate(
-        "gumkki",
-        (
-            Excitation(0, 1.0, 0.0, phase=0.7),  # lambda = 0
-            Excitation(1, 0.6, 3.0, phase=-1.2, glide_frac_per_s=0.05),
-            Excitation(4, 0.3, 8.0, phase=2.0),
+    TEMPLATES = {
+        "mixed": StrokeTemplate(
+            "gumkki",
+            (
+                Excitation(0, 1.0, 0.0, phase=0.7),  # lambda = 0
+                Excitation(1, 0.6, 3.0, phase=-1.2, glide_frac_per_s=0.05),
+                Excitation(4, 0.3, 8.0, phase=2.0),
+            ),
+            NoiseBurst(0.2, 0.004),
         ),
-        NoiseBurst(0.2, 0.004),
-    )
+        # every partial in the one steady product, and no burst
+        "steady": StrokeTemplate(
+            "dhi",
+            (
+                Excitation(0, 0.4, 2.0, phase=-0.3),
+                Excitation(1, 1.0, 6.0, phase=1.1),
+                Excitation(3, 0.5, 0.0),
+                Excitation(6, 0.2, 25.0, phase=3.0),
+            ),
+        ),
+        # an empty product: the burst alone
+        "noise": StrokeTemplate("ta", (), NoiseBurst(0.7, 0.01)),
+    }
 
     # under one block, one block exactly, ragged last blocks, two seconds
     @pytest.mark.parametrize("n", [1, 100, 511, 512, 513, 3000, 2 * 44100 + 7])
-    def test_matches_the_direct_sum(self, n):
+    @pytest.mark.parametrize("kind", list(TEMPLATES))
+    def test_matches_the_direct_sum(self, n, kind):
+        template = self.TEMPLATES[kind]
         table = reference_mode_table(190.0)
         spec = RenderSpec(sample_rate=44100, duration=n / 44100, peak_amplitude=0.8)
-        want = direct_render(table, self.TEMPLATE, spec, seed=3)
-        raw = render_stroke(table, self.TEMPLATE, spec, seed=3, normalize=False)
+        want = direct_render(table, template, spec, seed=3)
+        raw = render_stroke(table, template, spec, seed=3, normalize=False)
         assert raw.shape == want.shape
         assert np.max(np.abs(raw - want)) <= 1e-12
-        scaled = render_stroke(table, self.TEMPLATE, spec, seed=3)
+        scaled = render_stroke(table, template, spec, seed=3)
         np.testing.assert_allclose(scaled, want * (0.8 / np.max(np.abs(want))), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["dheem", "dhi", "gumkki"])
@@ -183,10 +200,10 @@ class TestBlockPhasorRender:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The grid and its scratch buffer; a glide's column factor is a
-        # complex grid of its own.
+        # The one grid that the steady partials' product writes; a glide's
+        # column factor is a complex grid of its own.
         gliding = any(e.glide_frac_per_s for e in template.excitations)
-        assert peak < (5.5 if gliding else 2.5) * clip_bytes
+        assert peak < (5.5 if gliding else 1.5) * clip_bytes
 
 
 class TestRenderSpecValidation:

@@ -122,6 +122,18 @@ class TestRejections:
         with pytest.raises(UnsupportedFormat, match="not a readable PCM WAV file"):
             read_wav(path)
 
+    def test_data_cut_mid_sample_rejected(self, tmp_path):
+        # The data chunk claims 4 frames (8 bytes); the file holds 5 bytes of it.
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+        path = tmp_path / "cut.wav"
+        path.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + 8) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 8) + bytes(5)
+        )
+        with pytest.raises(UnsupportedFormat, match="not a readable PCM WAV file: .* after 5 bytes"):
+            read_wav(path)
+
     @pytest.mark.parametrize("rate", [0, -5, math.nan, 44100.7, 44100.0, True, 2 ** 31, 2 ** 40])
     def test_rate_outside_the_header_is_refused(self, tmp_path, rate):
         path = tmp_path / "rate.wav"
