@@ -47,6 +47,12 @@ _ADSR_SLOPE_FRAC = 0.05
 _ADSR_SUSTAIN_MIN_LEVEL = 0.10
 _ADSR_LEVEL_BAND = 0.02
 
+# Peak prominence is measured against the median bin, or 80 dB below the
+# strongest bin where the median sits lower: a float render's median is
+# ~258 dB down and a PCM16 round trip's ~120 dB, so the median alone would
+# make prominences (and the dominant partial) depend on the clip's format.
+_PEAK_FLOOR_DB = 80.0
+
 # Classifier thresholds, calibrated on the bundled synthetic corpus.
 _PROMINENT_DB = 12.0
 _TONAL_MIN_PROMINENCE = 20.0
@@ -231,14 +237,22 @@ def compute_spectrum(
     return Spectrum(freqs, mags, window, fft_size, sample_rate)
 
 
+def _qint(m: np.ndarray, i: int) -> tuple[float, float]:
+    """(offset from bin i, height) of the vertex of the parabola through the
+    log magnitudes of bins i - 1, i and i + 1 (the Julius Smith qint scheme).
+
+    The offset is held within half a bin, where it always lies when bin i is
+    a local maximum, and is 0 where the parabola has no maximum."""
+    lm, c, rm = (math.log(max(v, 1e-300)) for v in (m[i - 1], m[i], m[i + 1]))
+    denom = lm - 2.0 * c + rm
+    delta = min(0.5, max(-0.5, 0.5 * (lm - rm) / denom)) if denom < 0.0 else 0.0
+    return delta, math.exp(c - 0.25 * (lm - rm) * delta)
+
+
 def detect_peaks(
     spectrum: Spectrum, min_prominence_db: float = 12.0, max_peaks: int = 16
 ) -> list[Peak]:
-    """Local maxima clearing the median noise floor, sub-bin refined.
-
-    Refinement fits a parabola to the log magnitudes of the three bins
-    around each maximum (the Julius Smith qint scheme).
-    """
+    """Local maxima clearing the noise floor (_PEAK_FLOOR_DB), refined by _qint."""
     if not (min_prominence_db >= 3 and math.isfinite(min_prominence_db)):
         raise ValueError("min_prominence_db must be finite and >= 3")
     if max_peaks < 1:
@@ -246,29 +260,19 @@ def detect_peaks(
     m = spectrum.magnitudes
     if m.size == 0:
         raise ValueError("spectrum has no bins")
-    floor = _median(m)
-    if floor <= 0.0:
-        positive = m[m > 0.0]
-        if positive.size == 0:
-            return []
-        floor = float(np.min(positive))
+    strongest = float(np.max(m))
+    if strongest <= 0.0:
+        return []
+    floor = max(_median(m), strongest * 10.0 ** (-_PEAK_FLOOR_DB / 20.0))
     threshold = floor * 10.0 ** (min_prominence_db / 20.0)
-    # also demand -100 dB of the strongest bin, or numerical dust "clears"
-    # the floor of an otherwise silent band
-    threshold = max(threshold, float(np.max(m)) * 1e-5)
     idx = np.nonzero(
         (m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]) & (m[1:-1] > threshold)
     )[0] + 1
     peaks = []
     bin_hz = spectrum.sample_rate / spectrum.fft_size
     for i in idx:
-        lm, c, rm = (math.log(max(v, 1e-300)) for v in (m[i - 1], m[i], m[i + 1]))
-        denom = lm - 2.0 * c + rm
-        delta = 0.5 * (lm - rm) / denom if denom != 0.0 else 0.0
-        height = c - 0.25 * (lm - rm) * delta
-        freq = (i + delta) * bin_hz
-        mag = math.exp(height)
-        peaks.append(Peak(freq, mag, 20.0 * math.log10(mag / floor)))
+        delta, mag = _qint(m, i)
+        peaks.append(Peak((i + delta) * bin_hz, mag, 20.0 * math.log10(mag / floor)))
     peaks.sort(key=lambda p: (-p.magnitude, p.frequency))
     return peaks[:max_peaks]
 
@@ -443,21 +447,18 @@ def fit_decay(
 def _moving_rms(x: np.ndarray, window: int) -> np.ndarray:
     """RMS over a window centred on each sample, zero beyond the clip.
 
-    The window's ends are clipped onto the clip's running sum, not padded
-    with zeros, so every array is the clip's size whatever the window's."""
+    The clip's squares, between zeros for the window's reach past each end
+    (each at most the clip's length, so the buffer is bounded by the clip's
+    size whatever the window's), are summed in one buffer; each sample's
+    window sum is the difference of two of its entries, taken in place."""
     n, half = x.size, window // 2
-    csum = np.empty(n + 1)
-    csum[0] = 0.0
-    np.cumsum(np.square(x, out=csum[1:]), out=csum[1:])
-    # Sample i sums csum[min(i - half + window, n)] - csum[max(i - half, 0)],
-    # never below 0, as a running sum of squares never decreases.
-    inside = min(n, max(0, n + half - window))
-    total = np.empty(n)
-    total[:inside] = csum[window - half : window - half + inside]
-    total[inside:] = csum[-1]
-    total[min(n, half) :] -= csum[: max(0, n - half)]
-    total /= window
-    return np.sqrt(total, out=total)
+    before, after = min(half, n), min(window - half, n)
+    s = np.zeros(before + n + after + 1)
+    np.square(x, out=s[before + 1 : before + 1 + n])
+    np.cumsum(s, out=s)
+    env = np.subtract(s[before + after : before + after + n], s[:n], out=s[:n])
+    env /= window
+    return np.sqrt(env, out=env)
 
 
 def segment_adsr(
@@ -598,35 +599,31 @@ def _merge_close_peaks(peaks, min_separation: float = 0.025):
     return kept
 
 
-def _dominant_band_drift(waveform, sample_rate, dominant_hz, spectrum=None) -> float:
+def _dominant_band_drift(x: np.ndarray, spectrum: Spectrum, dominant_hz: float) -> float:
     """Relative frequency drift of the dominant partial, early vs late.
 
-    spectrum, the clip's own compute_spectrum, stands in for the early
-    third's when it is the same transform: Hann, of the same size, and so
-    of the same leading samples."""
-    x = np.asarray(waveform, dtype=float)
+    The early reading is the clip's own spectrum, the late one a transform of
+    the same size of the clip's last third; each is the strongest bin in a
+    band around dominant_hz, refined by _qint.  Both share one bin grid, so
+    the drift is a ratio of bin positions."""
     seg = x.size // 3
     if seg < 2048:
         return 0.0
     width = max(dominant_hz * 0.5, 40.0)
-
-    def seg_peak(part, spec=None):
-        n = max(256, min(1 << int(math.floor(math.log2(part.size))), 2 ** 20))
-        if spec is None or (spec.fft_size, spec.window) != (n, "hann"):
-            spec = compute_spectrum(_Checked(part), sample_rate, n)
-        sel = (spec.bin_frequencies >= dominant_hz - width) & (
-            spec.bin_frequencies <= dominant_hz + width * 1.8
-        )
-        if not sel.any():
-            return dominant_hz
-        mags = np.where(sel, spec.magnitudes, 0.0)
-        return spec.bin_frequencies[int(np.argmax(mags))]
-
-    early = seg_peak(x[:seg], spectrum)
-    late = seg_peak(x[2 * seg :])
-    if early <= 0:
+    # Interior bins only, so that _qint has both neighbours.
+    f = spectrum.bin_frequencies
+    lo = max(1, int(np.searchsorted(f, dominant_hz - width)))
+    hi = min(f.size - 1, int(np.searchsorted(f, dominant_hz + width * 1.8, "right")))
+    if lo >= hi:
         return 0.0
-    return (late - early) / early
+
+    def peak_bin(m):
+        i = lo + int(np.argmax(m[lo:hi]))
+        return i + _qint(m, i)[0]
+
+    early = peak_bin(spectrum.magnitudes)
+    late = compute_spectrum(_Checked(x[2 * seg :]), spectrum.sample_rate, spectrum.fft_size)
+    return (peak_bin(late.magnitudes) - early) / early
 
 
 def extract_features(
@@ -689,7 +686,7 @@ def extract_features(
         dominant_ratio=dominant.frequency / f0,
         dominant_prominence_db=dominant.prominence_db,
         attack_centroid_ratio=spectral_centroid(attack_spec) / f0,
-        glide_drift=_dominant_band_drift(x, sample_rate, dominant.frequency, spectrum),
+        glide_drift=_dominant_band_drift(x, spectrum, dominant.frequency),
         grouping=grouping,
         adsr=adsr,
         decay=decay_fit,
@@ -707,8 +704,6 @@ def classify_stroke(features: ClipFeatures) -> tuple[str, float]:
     pitch glide) -> dominant-to-fundamental ratio (1.07 dheem; 2 chappu/dhi
     split on decay speed; 3 nam/araichappu split on attack brightness).
     """
-    if not features.grouped_peaks and features.flatness > _FLATNESS_CLOSED:
-        return "ta", _clamp01((features.flatness - 0.3) / 0.5)
     if (
         features.dominant_ratio is None
         or features.grouping is None

@@ -38,6 +38,7 @@ _STEPS = 8
 _END = 64.0
 _MAIN_CELLS = int(_END) * _STEPS
 _SMALL_BASE = _MAIN_CELLS + _STEPS * (np.arange(MAX_ORDER + 1) * np.arange(-1, MAX_ORDER) // 2)
+_INTP_MAX = float(np.iinfo(np.intp).max)
 
 
 @cache
@@ -120,7 +121,8 @@ def integer_jy(orders, x) -> np.ndarray:
     x > m (Gautschi 1967, SIAM Review 9:24), so J_m and J_{m-1} at the
     points with x < m come from their own cell polynomials instead, times
     (x/2)^(m-1), evaluated in the same pass.  Every point's values depend
-    on that point alone.  Y is undefined at x = 0 (NaN or -inf).
+    on that point alone.  Y is undefined at x = 0 (NaN or -inf).  Raises
+    DomainError for a NaN or infinite x, or one of 2^60 or more.
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
@@ -131,9 +133,12 @@ def integer_jy(orders, x) -> np.ndarray:
     top = max(int(m.max(initial=0)), 1)
     ladder = np.empty((top + 2, 2, size))  # rung k + 1 holds order k
     scaled = x * _STEPS
+    largest = scaled.max(initial=0.0)
+    # The cast to a cell index below needs every scaled x finite and within intp.
+    if not largest < _INTP_MAX:
+        raise DomainError(f"Bessel argument {largest / _STEPS:g} is too large or not a number")
     cell = scaled.astype(np.intp)
-    beyond = scaled.max(initial=0.0) >= _MAIN_CELLS
-    if beyond:
+    if largest >= _MAIN_CELLS:
         np.minimum(cell, _MAIN_CELLS - 1, out=cell)
     u = scaled - cell
     # One pass of the cell polynomials: J_0, R_0, J_1 and R_1 at every
@@ -153,7 +158,7 @@ def integer_jy(orders, x) -> np.ndarray:
     log *= 2.0 / math.pi
     ladder[1:3, 1] += ladder[1:3, 0] * log
     ladder[2, 1] -= two_over_x / math.pi
-    if beyond:
+    if largest >= _MAIN_CELLS:
         far = (x >= _END).nonzero()[0]
         ladder[1:3, :, far] = _hankel(x[far])
     np.negative(ladder[2], out=ladder[0])

@@ -33,6 +33,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,13 @@ class RadialDensityProfile:
             raise ValueError("last ring fraction must equal 1.0 exactly")
         if any(not (s > 0 and math.isfinite(s)) for _, s in rings):
             raise ValueError("surface densities must be positive and finite")
+        # The solver scales frequencies by each ring's wave slowness sqrt(sigma/T)
+        # and by R times it; an overflowed or subnormal scale makes roots inf or NaN.
+        tiny = sys.float_info.min
+        for _, s in rings:
+            slowness = math.sqrt(s / self.tension)
+            if not (tiny <= slowness and tiny <= self.radius * slowness < math.inf):
+                raise ValueError("each ring's sqrt(sigma/T) and R*sqrt(sigma/T) must be normal floats")
 
     @property
     def densities(self) -> tuple[float, ...]:

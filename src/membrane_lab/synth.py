@@ -137,6 +137,8 @@ class RenderSpec:
         # Compared without turning the rate into a float, which a large int overflows.
         if rate > MAX_RENDER_SAMPLES / self.duration:
             raise ValueError(f"render longer than {MAX_RENDER_SAMPLES} samples")
+        if self.n_samples == 0:
+            raise ValueError(f"a {self.duration:g} s render at {rate} Hz holds no sample")
         if not (0.0 < self.peak_amplitude <= 1.0):
             raise ValueError("peak_amplitude must lie in (0, 1]")
 
@@ -162,7 +164,9 @@ def render_stroke(
     blocks + B complex exponentials on a (blocks x B) grid, not n each of exp and sin.
     The steady partials' sum Im(R @ C), with R the (blocks x P) row phasors
     and C the (P x B) column phasors, is one real product
-    [Re R | Im R] @ [Im C ; Re C]; each gliding partial adds its own grid term.
+    [Re R | Im R] @ [Im C ; Re C].  A gliding partial (glide g) is added by its
+    formula a exp(-lambda t) sin(2 pi f t (1 + g t / 2) + phi), evaluated as
+    Im(a exp(i phi) exp((s + i pi f g t) t)).
     """
     nyquist = spec.sample_rate / 2.0
     n_blocks = -(-spec.n_samples // _BLOCK)
@@ -187,18 +191,20 @@ def render_stroke(
     rows = amplitude * np.exp(t_row * s + 1j * phase)
     cols = np.exp(s[:, None] * t_col)
     grid = np.hstack([rows.real, rows.imag]) @ np.vstack([cols.imag, cols.real])
-    for e, f in gliding:
-        s = complex(-e.decay_constant, 2.0 * math.pi * f)
-        # A glide adds the chirp pi f g t^2 = pi f g (t_r^2 + t_j (t_j + 2 t_r)) to the
-        # phase; its cross term makes the column factor a full grid.
-        chirp = 1j * math.pi * f * e.glide_frac_per_s
-        row = e.amplitude * np.exp(s * t_row + chirp * t_row * t_row + 1j * e.phase)
-        col = chirp * t_col * (t_col + 2.0 * t_row)
-        col += s * t_col
-        np.exp(col, out=col)
-        col *= row
-        grid += col.imag
     out = grid.reshape(-1)[: spec.n_samples]
+    t = np.arange(spec.n_samples) / spec.sample_rate if gliding else None
+    # One complex exponential, not a real exp and sin (faster alone): freeing
+    # its two-clip array lifts glibc's dynamic heap-trim threshold above a
+    # clip's working set, so a process that renders and analyses clip after
+    # clip keeps its pages (bench/run.py audio: ~23k page faults a pass, ~96k
+    # with exp and sin).
+    for e, f in gliding:
+        z = t * complex(0.0, math.pi * f * e.glide_frac_per_s)
+        z += complex(-e.decay_constant, 2.0 * math.pi * f)
+        z *= t
+        np.exp(z, out=z)
+        z *= e.amplitude * complex(math.cos(e.phase), math.sin(e.phase))
+        out += z.imag
     if template.noise_burst is not None and template.noise_burst.duration > 0:
         n_burst = min(spec.n_samples, int(round(template.noise_burst.duration * spec.sample_rate)))
         rng = np.random.default_rng(seed)

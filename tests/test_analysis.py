@@ -7,11 +7,11 @@ from membrane_lab.analysis import (
     AnalysisReport,
     Peak,
     Spectrum,
-    _dominant_band_drift,
     _hann,
     _longest_run,
     _median,
     _moving_rms,
+    _qint,
     _stft_band_track,
     analyze,
     classify_stroke,
@@ -37,6 +37,7 @@ from membrane_lab.synth import (
     reference_mode_table,
     render_stroke,
 )
+from membrane_lab.wav import read_wav, write_wav
 
 FS = 44100
 
@@ -153,6 +154,22 @@ class TestDetectPeaks:
         assert len(peaks) == 2
         assert peaks[0].magnitude >= peaks[1].magnitude
         assert abs(peaks[0].frequency - 300.0) < 3.0
+
+    def test_qint_finds_the_vertex_of_a_log_parabola(self):
+        # A Gaussian is a parabola in log magnitude: qint is exact on it.
+        delta, height = _qint(2.0 * np.exp(-((np.arange(3) - 1.3) ** 2)), 1)
+        assert delta == pytest.approx(0.3, abs=1e-12)
+        assert height == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "magnitudes, offset",
+        [([8.0, 4.0, 3.9], 0.0), ([8.0, 4.0, 1.0], -0.5), ([1.0, 4.0, 8.0], 0.5)],
+        ids=["no-maximum", "vertex-left", "vertex-right"],
+    )
+    def test_qint_offset_stays_within_half_a_bin(self, magnitudes, offset):
+        # Off a local maximum (the glide test's band edge) the parabola's
+        # vertex lies beyond a neighbour, or it has none.
+        assert _qint(np.array(magnitudes), 1)[0] == offset
 
     def test_error_shrinks_as_fft_grows(self):
         rng = np.random.default_rng(17)
@@ -342,17 +359,22 @@ def test_analyze_checks_the_clip_once(monkeypatch):
     assert checked == [FS]
 
 
+def pcm16(x, path):
+    """x after a PCM16 WAV round trip."""
+    write_wav(x, FS, path)
+    return read_wav(path)[0]
+
+
 class TestSpectrumReuse:
     @staticmethod
-    def clip(duration):
+    def clip(duration, pitch=110.0, seed=5):
         template, head = load_default_templates()["gumkki"]
         spec = RenderSpec(FS, duration, 0.9)
-        return render_stroke(reference_mode_table(110.0, head), template, spec, seed=5)
+        return render_stroke(reference_mode_table(pitch, head), template, spec, seed=seed)
 
-    # The glide test's early third starts with the clip's own 32,768-point
-    # spectrum from 2.5 s on; a 1 s clip's third takes an 8,192-point one.
-    @pytest.mark.parametrize("duration, spectra", [(1.0, 4), (2.5, 3), (4.0, 3)])
-    def test_analyze_counts_its_spectra(self, monkeypatch, duration, spectra):
+    # The clip's spectrum, the attack's, and the glide test's last third.
+    @pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
+    def test_analyze_counts_its_spectra(self, monkeypatch, duration):
         from membrane_lab import analysis
 
         calls = []
@@ -362,16 +384,31 @@ class TestSpectrumReuse:
         )
         report = analyze(self.clip(duration), FS)
         assert report.label == "gumkki"
-        assert len(calls) == spectra
+        assert len(calls) == 3
 
-    @pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
-    def test_drift_is_the_same_with_the_clip_spectrum(self, duration):
-        x = self.clip(duration)
-        whole = compute_spectrum(x, FS, 32768)
-        dominant = 110.0 * 0.55  # the left head's lowest mode, which glides
-        drift = _dominant_band_drift(x, FS, dominant)
-        assert drift != 0.0
-        assert _dominant_band_drift(x, FS, dominant, whole) == drift
+    # The slider (0.55 of the pitch) moves about 2% between the two readings
+    # of a 1 s clip: 0.8-1.5 Hz, at most one 32,768-point bin, so only a
+    # sub-bin reading sees it.
+    @pytest.mark.parametrize("pitch", np.linspace(70.0, 140.0, 15))
+    def test_a_one_second_glide_reads_as_drift(self, pitch, tmp_path):
+        x = self.clip(1.0, pitch, seed=1)
+        for clip in (x, pcm16(x, tmp_path / "clip.wav")):
+            assert abs(extract_features(clip, FS).glide_drift) >= 0.02
+
+
+@pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
+@pytest.mark.parametrize("name", list(load_default_templates()))
+def test_strongest_peak_prominence_survives_pcm16(name, duration, tmp_path):
+    # The floor sits 80 dB below the strongest bin, above both the float
+    # render's median bin and the PCM16 quantisation's.
+    template, head = load_default_templates()[name]
+    spec = RenderSpec(FS, duration, 0.9)
+    x = render_stroke(reference_mode_table(100.0, head), template, spec, seed=1)
+    prominence = [
+        detect_peaks(compute_spectrum(clip, FS, 32768), 8.0, 12)[0].prominence_db
+        for clip in (x, pcm16(x, tmp_path / "clip.wav"))
+    ]
+    assert abs(prominence[0] - prominence[1]) <= 0.1
 
 
 def test_hann_window_is_shared_read_only():

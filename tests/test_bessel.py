@@ -203,6 +203,13 @@ class TestIntegerLadder:
         assert got.shape == (4, 2, 3)
         assert np.array_equal(got[:, 1, 2], integer_jy(5, 12.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0 ** 60])
+    def test_an_argument_past_every_cell_index_is_refused(self, bad):
+        # 8 x is cast to an intp cell index, which NaN, inf and 2^63 do not fit.
+        with pytest.raises(DomainError, match="too large or not a number"):
+            integer_jy(3, np.array([1.0, bad, 2.0]))
+        assert np.isfinite(integer_jy(3, np.array([1.0, 1e18]))).all()
+
 
 class TestBesselZero:
     def test_first_j0_zero(self):

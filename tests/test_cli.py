@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,38 @@ class TestUsageAndDataErrors:
         argv = ["layers", str(DATA / "uniform_profile.json"), str(DATA / "layer_sequence.json")]
         assert run(*argv, "--epsilon", epsilon) == 2
         assert capsys.readouterr().err.startswith("membrane-lab: need finite epsilon > 0")
+
+    @pytest.mark.parametrize(
+        "profile, steps",
+        [
+            ({"radius_m": 1e300, "tension_n_per_m": 1e-300, "rings": [{"r_frac": 1.0, "sigma_kg_m2": 1e300}]}, None),
+            ({"radius_m": 1e-300, "tension_n_per_m": 1e300, "rings": [{"r_frac": 1.0, "sigma_kg_m2": 1e-300}]}, None),
+            (None, [{"r_frac": 0.5, "dsigma_kg_m2": 1e308}] * 2),
+        ],
+        ids=["modes-slowness-overflows", "modes-slowness-underflows", "layers-huge-steps"],
+    )
+    def test_a_profile_out_of_the_solver_range_is_data_error(self, tmp_path, capsys, profile, steps):
+        if steps is None:
+            (tmp_path / "p.json").write_text(json.dumps(profile))
+            argv = ("modes", str(tmp_path / "p.json"))
+        else:
+            (tmp_path / "s.json").write_text(json.dumps({"steps": steps}))
+            argv = ("layers", str(DATA / "uniform_profile.json"), str(tmp_path / "s.json"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("membrane-lab: ") and err.count("\n") == 1
+
+    def test_a_render_without_samples_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert run(
+            "synth", str(DATA / "default_profile.json"), str(DATA / "demo_stroke.json"),
+            "-o", str(out), "--duration", "1e-9",
+        ) == 2
+        assert capsys.readouterr().err == "membrane-lab: a 1e-09 s render at 44100 Hz holds no sample\n"
+        assert not out.exists()
 
     def test_garbage_wav_is_data_error(self, tmp_path):
         fake = tmp_path / "fake.wav"

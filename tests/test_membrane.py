@@ -97,6 +97,19 @@ class TestProfile:
         with pytest.raises(ValueError):
             RadialDensityProfile(1.0, -2.0, ((1.0, 1.0),))
 
+    @pytest.mark.parametrize(
+        "radius, tension, sigma",
+        [
+            (1e300, 1e-300, 1e300),  # sqrt(sigma/T) overflows
+            (1e-300, 1e300, 1e-300),  # sqrt(sigma/T) underflows to 0
+            (1e-250, 1.0, 1e-120),  # R sqrt(sigma/T) is subnormal
+            (1e250, 1.0, 1e200),  # R sqrt(sigma/T) overflows
+        ],
+    )
+    def test_a_ring_the_solver_cannot_scale_is_refused(self, radius, tension, sigma):
+        with pytest.raises(ValueError, match=r"R\*sqrt\(sigma/T\) must be normal floats"):
+            RadialDensityProfile(radius, tension, ((1.0, sigma),))
+
     def test_fingerprint_distinguishes(self):
         assert two_ring(0.4, 3.0).fingerprint() != two_ring(0.4, 3.0000001).fingerprint()
 

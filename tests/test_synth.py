@@ -200,10 +200,10 @@ class TestBlockPhasorRender:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The one grid that the steady partials' product writes; a glide's
-        # column factor is a complex grid of its own.
+        # The one grid that the steady partials' product writes; a glide adds
+        # its time axis and its complex exponential, two clips.
         gliding = any(e.glide_frac_per_s for e in template.excitations)
-        assert peak < (5.5 if gliding else 1.5) * clip_bytes
+        assert peak < (4.5 if gliding else 1.5) * clip_bytes
 
 
 class TestRenderSpecValidation:
@@ -223,6 +223,12 @@ class TestRenderSpecValidation:
         with pytest.raises(ValueError, match="sample_rate must be an integer"):
             RenderSpec(rate, 1.0, 0.9)
         assert RenderSpec(np.int32(44100), 1.0, 0.9).n_samples == 44100
+
+    @pytest.mark.parametrize("duration", [1e-9, 0.49 / 44100])
+    def test_rejects_a_render_without_samples(self, duration):
+        with pytest.raises(ValueError, match=f"a {duration:g} s render at 44100 Hz holds no sample"):
+            RenderSpec(44100, duration)
+        assert RenderSpec(44100, 0.51 / 44100).n_samples == 1
 
     def test_rejects_bad_peak(self):
         with pytest.raises(ValueError):
