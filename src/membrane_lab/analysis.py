@@ -2,8 +2,9 @@
 
 The pipeline is: magnitude spectrum -> prominent peaks (parabolic sub-bin
 refinement) -> integer-comb fundamental search (the ~7%-sharp lowest mode
-is flagged separately, never forced into the comb) -> per-band decay fits
--> RMS-envelope ADSR segmentation -> a transparent rule cascade that names
+is flagged separately, never forced into the comb) -> the dominant
+partial's decay fit, whose band track also gives its glide -> RMS-envelope
+ADSR segmentation -> a transparent rule cascade that names
 the stroke.
 """
 
@@ -22,7 +23,9 @@ from .errors import (
     SilentInput,
     TooFewPeaks,
 )
-from .harmonicity import CharacteristicRatioVerdict, characteristic_verdicts, ratio_limits
+from .harmonicity import (
+    MAX_OVERTONE, CharacteristicRatioVerdict, characteristic_verdicts, ratio_limits
+)
 
 _WINDOWS = ("hann", "rect")
 
@@ -108,6 +111,7 @@ class DecayFit:
     intercept: float
     r_squared: float
     band_center: float
+    drift: float
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,9 @@ def _hann(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _unit_phasors(n: int) -> np.ndarray:
-    """exp(2 pi i j / n) for j < n, built once per size; read-only, as every
-    caller shares it."""
-    phasors = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    """exp(-2 pi i j / n) for j < n, rfft's sign, built once per size;
+    read-only, as every caller shares it."""
+    phasors = np.exp(-1j * (np.arange(n) * (2.0 * math.pi / n)))
     phasors.flags.writeable = False
     return phasors
 
@@ -241,11 +245,9 @@ def _qint(m: np.ndarray, i: int) -> tuple[float, float]:
     """(offset from bin i, height) of the vertex of the parabola through the
     log magnitudes of bins i - 1, i and i + 1 (the Julius Smith qint scheme).
 
-    The offset is held within half a bin, where it always lies when bin i is
-    a local maximum, and is 0 where the parabola has no maximum."""
+    Bin i must be a local maximum; the offset then lies within half a bin."""
     lm, c, rm = (math.log(max(v, 1e-300)) for v in (m[i - 1], m[i], m[i + 1]))
-    denom = lm - 2.0 * c + rm
-    delta = min(0.5, max(-0.5, 0.5 * (lm - rm) / denom)) if denom < 0.0 else 0.0
+    delta = 0.5 * (lm - rm) / (lm - 2.0 * c + rm)
     return delta, math.exp(c - 0.25 * (lm - rm) * delta)
 
 
@@ -281,12 +283,13 @@ def _comb_eval(freqs, mags, candidate):
     """Match mask, integer multiples, and closeness-weighted score per tooth spacing.
 
     candidate is a scalar or a column of candidates, which broadcasts
-    against the peaks; the score has one entry per candidate.
+    against the peaks; the score has one entry per candidate.  Only the
+    teeth k <= MAX_OVERTONE match.
     """
     k = np.maximum(np.rint(freqs / candidate), 1.0)
     target = k * candidate
     rel_err = np.abs(freqs - target) / target
-    sel = rel_err <= COMB_TOLERANCE
+    sel = (rel_err <= COMB_TOLERANCE) & (k <= MAX_OVERTONE)
     score = np.sum(np.where(sel, (1.0 - rel_err / COMB_TOLERANCE) * mags, 0.0), axis=-1)
     return sel, k, score
 
@@ -363,9 +366,10 @@ def group_harmonics(
 
 
 def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, hop_s):
-    """Per-frame max magnitude inside the band, with frame-centre times: the
-    band's rfft bins only, as products of the clip's hop-long rows with slices
-    of their windowed cos/sin basis."""
+    """Frame-centre times, the band's bin frequencies, and each frame's
+    complex bins, shape (frames, bins), equal to np.fft.rfft(hann * frame)
+    at those bins: the band's bins only, as products of the clip's hop-long
+    rows with slices of their windowed phasor basis."""
     x = np.asarray(waveform, dtype=float)
     n_frame = int(round(frame_s * sample_rate))
     n_hop = max(1, int(round(hop_s * sample_rate)))
@@ -373,7 +377,7 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
         raise ValueError("frame too short")
     # Before the window is built, so that its size is bounded by the clip's.
     if x.size < n_frame:
-        return np.empty(0), np.empty(0)
+        return np.empty(0), np.empty(0), np.empty((0, 0), dtype=complex)
     freqs = np.fft.rfftfreq(n_frame, 1.0 / sample_rate)
     band = (freqs >= band_center - band_width / 2.0) & (
         freqs <= band_center + band_width / 2.0
@@ -385,21 +389,21 @@ def _stft_band_track(waveform, sample_rate, band_center, band_width, frame_s, ho
     whole, rest = divmod(n_frame, n_hop)
     rows = x[: (n_frames + whole - 1) * n_hop].reshape(-1, n_hop)
     tails = np.lib.stride_tricks.sliding_window_view(x[whole * n_hop :], rest)[::n_hop]
-    mags = np.zeros(n_frames)
+    parts = []
     # At most 32 bins a basis, so that a wide band never holds n_frame x bins.
     for part in np.array_split(bins, -(-len(bins) // 32)):
         # j * k reduced mod n_frame in integers, so no phase loses precision
         jk = np.outer(np.arange(n_frame), part)
         basis = _unit_phasors(n_frame).take(np.remainder(jk, n_frame, out=jk))
         basis *= _hann(n_frame)[:, None]
-        # Each bin's (cos, sin) pair as two real columns
+        # Each bin's (real, imaginary) pair as two real columns
         basis = basis.view(float)
         dft = tails @ basis[whole * n_hop :]
         for q in range(whole):
             dft += rows[q : q + n_frames] @ basis[q * n_hop : (q + 1) * n_hop]
-        np.maximum(mags, np.max(np.abs(dft.view(complex)), axis=-1), out=mags)
+        parts.append(dft.view(complex))
     times = (n_hop * np.arange(n_frames) + 0.5 * n_frame) / sample_rate
-    return times, mags
+    return times, freqs[bins], np.concatenate(parts, axis=1)
 
 
 def fit_decay(
@@ -410,17 +414,32 @@ def fit_decay(
     frame_s: float = 0.1,
     hop_s: float = 0.025,
 ) -> DecayFit:
-    """First-order decay constant of one spectral band.
+    """First-order decay constant of one spectral band, and the drift of its
+    strongest bin's frequency.
 
     Least squares on (t, ln magnitude) between the loudest frame and the
-    first frame 40 dB quieter; lambda is the negated slope.
+    first frame 40 dB quieter; lambda is the negated slope.  The track ends
+    at the clip's last nonzero sample, so digital silence after the sound
+    does not read as decay.
+
+    drift is the relative frequency change of the strongest band bin from
+    the fit's first two frames to its last two.  Each frequency is the phase
+    vocoder's (Flanagan & Golden 1966): bin k's phase advance across one
+    hop, f_k + wrap(dphi / 2 pi - f_k hop) / hop.  The strongest bin lies
+    within half a bin, 1 / (2 frame), of its partial, so the reading is
+    unambiguous while hop <= frame.  The band lies strictly between 0 Hz and
+    the Nyquist frequency, whose bins are real and hold no phase to read.
     """
     x = _samples(waveform, sample_rate)
-    if band_center + band_width / 2.0 >= sample_rate / 2.0:
-        raise ValueError("band extends past the Nyquist frequency")
-    times, mags = _stft_band_track(x, sample_rate, band_center, band_width, frame_s, hop_s)
+    half = band_width / 2.0
+    if not (band_center - half > 0.0 and band_center + half < sample_rate / 2.0):
+        raise ValueError("band must lie between 0 Hz and the Nyquist frequency")
+    x = x[: x.size - int(np.argmax(x[::-1] != 0.0))]
+    times, freqs, bins = _stft_band_track(x, sample_rate, band_center, band_width, frame_s, hop_s)
     if times.size < 8:
         raise ValueError("need at least 8 analysis frames for a decay fit")
+    levels = np.abs(bins)
+    mags = levels.max(axis=1)
     p = int(np.argmax(mags))
     peak = mags[p]
     if peak <= 0.0:
@@ -441,7 +460,16 @@ def fit_decay(
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(-float(slope), float(intercept), max(0.0, min(1.0, r2)), band_center)
+    hop = times[1] - times[0]
+
+    def frequency(i):
+        k = int(np.argmax(levels[i]))
+        turns = np.angle(bins[i + 1, k] * np.conj(bins[i, k])) / (2.0 * math.pi) - freqs[k] * hop
+        return freqs[k] + (turns - round(turns)) / hop
+
+    start = frequency(p)
+    drift = float((frequency(end - 1) - start) / start)
+    return DecayFit(-float(slope), float(intercept), max(0.0, min(1.0, r2)), band_center, drift)
 
 
 def _moving_rms(x: np.ndarray, window: int) -> np.ndarray:
@@ -571,7 +599,8 @@ class ClipFeatures:
 
     grouping's harmonic_indices and shifted_index refer to grouped_peaks
     (the strong, de-duplicated list the comb search saw), not to the full
-    peak list.  decay is the fit on the dominant partial.
+    peak list.  decay is the fit on the dominant partial, and glide_drift
+    its drift (0 where there is no fit).
     """
 
     peaks: tuple[Peak, ...]
@@ -599,33 +628,6 @@ def _merge_close_peaks(peaks, min_separation: float = 0.025):
     return kept
 
 
-def _dominant_band_drift(x: np.ndarray, spectrum: Spectrum, dominant_hz: float) -> float:
-    """Relative frequency drift of the dominant partial, early vs late.
-
-    The early reading is the clip's own spectrum, the late one a transform of
-    the same size of the clip's last third; each is the strongest bin in a
-    band around dominant_hz, refined by _qint.  Both share one bin grid, so
-    the drift is a ratio of bin positions."""
-    seg = x.size // 3
-    if seg < 2048:
-        return 0.0
-    width = max(dominant_hz * 0.5, 40.0)
-    # Interior bins only, so that _qint has both neighbours.
-    f = spectrum.bin_frequencies
-    lo = max(1, int(np.searchsorted(f, dominant_hz - width)))
-    hi = min(f.size - 1, int(np.searchsorted(f, dominant_hz + width * 1.8, "right")))
-    if lo >= hi:
-        return 0.0
-
-    def peak_bin(m):
-        i = lo + int(np.argmax(m[lo:hi]))
-        return i + _qint(m, i)[0]
-
-    early = peak_bin(spectrum.magnitudes)
-    late = compute_spectrum(_Checked(x[2 * seg :]), spectrum.sample_rate, spectrum.fft_size)
-    return (peak_bin(late.magnitudes) - early) / early
-
-
 def extract_features(
     waveform,
     sample_rate: float,
@@ -636,6 +638,9 @@ def extract_features(
 ) -> ClipFeatures:
     """Run the full measurement stack on one clip."""
     x = _samples(waveform, sample_rate)
+    # Refused before any work: the comb's candidates walk f_search.
+    if f_search is not None and f_search[1] > sample_rate / 2.0:
+        raise ValueError(f"f_search's upper end {f_search[1]} Hz is above the Nyquist frequency")
     clip = _Checked(x)
     spectrum = compute_spectrum(clip, sample_rate, fft_size)
     peaks = tuple(detect_peaks(spectrum, min_prominence_db, max_peaks))
@@ -686,7 +691,7 @@ def extract_features(
         dominant_ratio=dominant.frequency / f0,
         dominant_prominence_db=dominant.prominence_db,
         attack_centroid_ratio=spectral_centroid(attack_spec) / f0,
-        glide_drift=_dominant_band_drift(x, spectrum, dominant.frequency),
+        glide_drift=decay_fit.drift if decay_fit else 0.0,
         grouping=grouping,
         adsr=adsr,
         decay=decay_fit,

@@ -33,6 +33,12 @@ RATIO_TOLERANCES = {
 # shifted lowest mode) are excluded from integer assignment.
 _OVERTONE_FLOOR = 1.5
 
+# The highest integer a frequency is rated against, here and in the comb
+# search of analysis.  Tooth k of a comb is 2% of k * f0 wide on each side,
+# so at k = 10 it already spans 40% of the gap to its neighbours, and higher
+# teeth match stray partials by chance.
+MAX_OVERTONE = 10
+
 
 @dataclass(frozen=True)
 class RatioAssignment:
@@ -129,8 +135,8 @@ def harmonicity_score(frequencies, max_overtone: int = 7) -> HarmonicAssessment:
     fs = _sorted_finite(frequencies)
     if len(fs) < 3:
         raise TooFewFrequencies("harmonicity score needs at least three frequencies")
-    if not 3 <= max_overtone <= 10:
-        raise ValueError(f"max_overtone must be in [3, 10], got {max_overtone}")
+    if not 3 <= max_overtone <= MAX_OVERTONE:
+        raise ValueError(f"max_overtone must be in [3, {MAX_OVERTONE}], got {max_overtone}")
     if fs[0] <= 0:
         raise NonPositiveFrequency(f"harmonicity score needs positive frequencies, got {fs[0]}")
     nearest, claimant, residual = claim_integers(fs, max_overtone)

@@ -161,16 +161,6 @@ class TestDetectPeaks:
         assert delta == pytest.approx(0.3, abs=1e-12)
         assert height == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "magnitudes, offset",
-        [([8.0, 4.0, 3.9], 0.0), ([8.0, 4.0, 1.0], -0.5), ([1.0, 4.0, 8.0], 0.5)],
-        ids=["no-maximum", "vertex-left", "vertex-right"],
-    )
-    def test_qint_offset_stays_within_half_a_bin(self, magnitudes, offset):
-        # Off a local maximum (the glide test's band edge) the parabola's
-        # vertex lies beyond a neighbour, or it has none.
-        assert _qint(np.array(magnitudes), 1)[0] == offset
-
     def test_error_shrinks_as_fft_grows(self):
         rng = np.random.default_rng(17)
         freqs = rng.uniform(150.0, 1500.0, 8)
@@ -245,9 +235,38 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(sine(300.0), FS, 22000.0, 200.0)
 
+    def test_band_must_stay_above_0_hz(self):
+        # The 0 Hz bin holds no phase: a 6 Hz partial read from it has no
+        # frequency to divide the glide by.
+        t = np.arange(2 * FS) / FS
+        with pytest.raises(ValueError, match="between 0 Hz and the Nyquist"):
+            fit_decay(np.exp(-t) * np.sin(2 * math.pi * 6.0 * t), FS, 6.0, 30.0)
+
     def test_needs_eight_frames(self):
         with pytest.raises(ValueError):
             fit_decay(sine(300.0, 0.15), FS, 300.0, 80.0)
+
+    # A 2 s dheem chord (1.07/2/3 x 100 Hz, lambda = 1) with zeros from
+    # cut_s on.  The band drops the fit's 10 dB only 1.15 s after its
+    # loudest frame, so the first three cuts leave no fit.
+    @pytest.mark.parametrize(
+        "cut_s, decay_constant", [(0.5, None), (0.8, None), (1.2, None), (1.5, 1.0), (1.9, 1.0)]
+    )
+    def test_a_clip_ending_in_digital_silence_is_read_to_its_last_sound(
+        self, cut_s, decay_constant
+    ):
+        t = np.arange(2 * FS) / FS
+        x = np.exp(-t) * sum(
+            a * np.sin(2 * math.pi * f * t) for a, f in ((1.0, 107.0), (0.6, 200.0), (0.4, 300.0))
+        )
+        x[int(cut_s * FS) :] = 0.0
+        features = extract_features(x, FS)
+        assert classify_stroke(features)[0] == "dheem"
+        if decay_constant is None:
+            assert features.decay is None
+        else:
+            assert features.decay.decay_constant == pytest.approx(decay_constant, rel=1e-3)
+            assert abs(features.glide_drift) <= 1e-4
 
     def test_holds_about_one_copy_of_the_clip(self):
         import tracemalloc
@@ -268,16 +287,14 @@ def rfft_band_track(x, rate, center, width, frame_s, hop_s):
     """The decay band track by a full rfft of every frame, then a band mask."""
     n_frame = int(round(frame_s * rate))
     n_hop = max(1, int(round(hop_s * rate)))
-    if x.size < n_frame:
-        return np.empty(0), np.empty(0)
     freqs = np.fft.rfftfreq(n_frame, 1.0 / rate)
     band = (freqs >= center - width / 2.0) & (freqs <= center + width / 2.0)
     if not band.any():
         band[np.argmin(np.abs(freqs - center))] = True
     frames = np.lib.stride_tricks.sliding_window_view(x, n_frame)[::n_hop]
-    mags = np.max(np.abs(np.fft.rfft(frames * np.hanning(n_frame), axis=-1)[:, band]), axis=-1)
+    bins = np.fft.rfft(frames * np.hanning(n_frame), axis=-1)[:, band]
     times = (n_hop * np.arange(len(frames)) + 0.5 * n_frame) / rate
-    return times, mags
+    return times, freqs[band], bins
 
 
 class TestBandTrack:
@@ -298,14 +315,16 @@ class TestBandTrack:
         rng = np.random.default_rng(n)
         t = np.arange(n) / FS
         x = np.exp(-3.0 * t) * np.sin(2 * math.pi * center * t) + 0.1 * rng.standard_normal(n)
-        times, mags = _stft_band_track(x, FS, center, width, frame_s, hop_s)
-        ref_times, ref_mags = rfft_band_track(x, FS, center, width, frame_s, hop_s)
+        times, freqs, bins = _stft_band_track(x, FS, center, width, frame_s, hop_s)
+        ref_times, ref_freqs, ref_bins = rfft_band_track(x, FS, center, width, frame_s, hop_s)
         assert np.array_equal(times, ref_times)
-        assert np.max(np.abs(mags - ref_mags)) <= 1e-12 * np.max(ref_mags)
+        assert np.array_equal(freqs, ref_freqs)
+        assert bins.shape == ref_bins.shape
+        assert np.max(np.abs(bins - ref_bins)) <= 1e-12 * np.max(np.abs(ref_bins))
 
     def test_clip_shorter_than_a_frame_has_no_track(self):
-        times, mags = _stft_band_track(np.ones(4409), FS, 300.0, 80.0, 0.1, 0.025)
-        assert times.size == mags.size == 0
+        times, freqs, bins = _stft_band_track(np.ones(4409), FS, 300.0, 80.0, 0.1, 0.025)
+        assert times.size == bins.size == 0
 
 
 class TestMovingRms:
@@ -372,7 +391,8 @@ class TestSpectrumReuse:
         spec = RenderSpec(FS, duration, 0.9)
         return render_stroke(reference_mode_table(pitch, head), template, spec, seed=seed)
 
-    # The clip's spectrum, the attack's, and the glide test's last third.
+    # The clip's spectrum and the attack's; the glide is read from the
+    # decay band's track.
     @pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
     def test_analyze_counts_its_spectra(self, monkeypatch, duration):
         from membrane_lab import analysis
@@ -384,16 +404,33 @@ class TestSpectrumReuse:
         )
         report = analyze(self.clip(duration), FS)
         assert report.label == "gumkki"
-        assert len(calls) == 3
+        assert len(calls) == 2
 
-    # The slider (0.55 of the pitch) moves about 2% between the two readings
-    # of a 1 s clip: 0.8-1.5 Hz, at most one 32,768-point bin, so only a
-    # sub-bin reading sees it.
+    # The slider glides 4%/s; the decay fit's first and last frame pairs of
+    # a 1 s clip lie 0.875 s apart, so it reads g * dt = 0.035 at any pitch.
     @pytest.mark.parametrize("pitch", np.linspace(70.0, 140.0, 15))
     def test_a_one_second_glide_reads_as_drift(self, pitch, tmp_path):
         x = self.clip(1.0, pitch, seed=1)
         for clip in (x, pcm16(x, tmp_path / "clip.wav")):
-            assert abs(extract_features(clip, FS).glide_drift) >= 0.02
+            assert extract_features(clip, FS).glide_drift >= 0.03
+
+
+# The 4 s thom's last second lies below PCM16's range; the glide is read
+# only where the decay fit reads the dominant partial.
+@pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
+@pytest.mark.parametrize("name", list(load_default_templates()))
+def test_label_and_glide_survive_pcm16(name, duration, tmp_path):
+    template, head = load_default_templates()[name]
+    spec = RenderSpec(FS, duration, 0.9)
+    for pitch in (75.0, 100.0, 130.0):
+        x = render_stroke(reference_mode_table(pitch, head), template, spec, seed=1)
+        for clip in (x, pcm16(x, tmp_path / "clip.wav")):
+            features = extract_features(clip, FS)
+            assert classify_stroke(features)[0] == name
+            if name == "gumkki":
+                assert features.glide_drift >= 0.03
+            else:
+                assert abs(features.glide_drift) <= 0.002
 
 
 @pytest.mark.parametrize("duration", [1.0, 2.5, 4.0])
@@ -606,6 +643,12 @@ class TestInputDomain:
         x[100] = bad
         with pytest.raises(ValueError, match="waveform samples must be finite"):
             entry(x, FS)
+
+    def test_a_comb_search_above_nyquist_is_refused(self):
+        # No candidate above it matches a peak, and the comb walks f_search
+        # at a quarter bin: 1e8 Hz once asked for 297M candidates.
+        with pytest.raises(ValueError, match="is above the Nyquist frequency"):
+            analyze(sine(200.0, 1.0), FS, f_search=(10.0, 30000.0))
 
     def test_all_nan_clip_is_refused(self):
         with pytest.raises(ValueError, match="finite"):

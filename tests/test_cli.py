@@ -137,6 +137,14 @@ class TestUsageAndDataErrors:
         assert capsys.readouterr().err == "membrane-lab: a 1e-09 s render at 44100 Hz holds no sample\n"
         assert not out.exists()
 
+    def test_a_comb_search_above_nyquist_is_data_error(self, tmp_path, capsys):
+        clip = tmp_path / "tone.wav"
+        tone_wav(clip)
+        assert run("analyze", str(clip), "--f-search", "10", "30000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("membrane-lab: ") and err.count("\n") == 1
+        assert "is above the Nyquist frequency" in err
+
     def test_garbage_wav_is_data_error(self, tmp_path):
         fake = tmp_path / "fake.wav"
         fake.write_bytes(b"not audio")
