@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDecay,
     SilentInput,
     TooFewPeaks,
+    _check_count,
 )
 from .harmonicity import (
     MAX_OVERTONE, CharacteristicRatioVerdict, characteristic_verdicts, ratio_limits
@@ -257,8 +258,7 @@ def detect_peaks(
     """Local maxima clearing the noise floor (_PEAK_FLOOR_DB), refined by _qint."""
     if not (min_prominence_db >= 3 and math.isfinite(min_prominence_db)):
         raise ValueError("min_prominence_db must be finite and >= 3")
-    if max_peaks < 1:
-        raise ValueError("max_peaks must be >= 1")
+    _check_count("max_peaks", max_peaks, 1)
     m = spectrum.magnitudes
     if m.size == 0:
         raise ValueError("spectrum has no bins")

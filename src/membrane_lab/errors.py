@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the check of the
+counts that callers pass to every layer."""
+
+import math
+import numbers
 
 
 class MembraneLabError(Exception):
@@ -77,3 +81,13 @@ class NonPositiveImpedance(MembraneLabError, ValueError):
 
 class InconsistentVelocityWarning(UserWarning):
     """Supplied sound velocity disagrees with sqrt(E/rho) by more than 1%."""
+
+
+def _check_count(name: str, value, least: float, most: float = math.inf) -> None:
+    """Refuse, with ValueError, a count that is not an integer (a bool is
+    not one) or that lies outside [least, most]."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        bounds = f"lie in [{least}, {most}]" if most < math.inf else f"be >= {least}"
+        raise ValueError(f"{name} must {bounds}")

@@ -23,6 +23,25 @@ refine stops once its clipped step is within 1e-9 in every coordinate
 (or, as a backstop, after 400 iterations).  The answer is the best point
 over everything evaluated, grid included, and its assessment is scored
 from the roots the search solved there: no answer is solved twice.
+
+The grid is solved coarse to fine.  Added mass only lowers a membrane's
+modes (Sturm comparison; Courant & Hilbert vol. 1, ch. VI), and along
+both axes of the two-region box the head only gets heavier, so each root
+(m, n) of a grid point lies between the same root of its lattice corner
+below on both axes (lighter) and of its corner above (heavier).  The
+first pass solves the lattice, every other index of each axis and the
+last, cold and to one root more per order; the second solves every other
+point in its corners' brackets, widened by a few 38-bit cells.  Such a
+bracket holds root n alone, certified with no count, when the lighter
+corner's root n - 1 lies below it and the heavier corner's root n + 1
+above it; then N_m is n - 1 and n at its ends, D's signs there follow,
+and it goes straight to the polish, aimed first at the bilinear
+interpolation of the corners' roots.  A bracket whose certificate fails
+takes the Sturm bracket and the count in the same stack.  The passes run
+only where the profiles themselves are so ordered; the graded (mass,
+taper) grid is not, and is solved cold.  Every root is its own grid cell
+however it was bracketed, so the values and the answer do not depend on
+the passes.
 """
 
 from __future__ import annotations
@@ -30,16 +49,22 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, _check_count
 from .harmonicity import HarmonicAssessment, claim_integers, harmonicity_score
 # default_ceiling stays importable here: bench/tracing.py wraps it in this module.
 from .membrane import (
-    ModeTable, RadialDensityProfile, _root_gradients, _solve_stack, composite_modes, default_ceiling
+    ModeTable,
+    RadialDensityProfile,
+    _nowhere_heavier,
+    _ring_geometry,
+    _root_gradients,
+    _solve_stack,
+    composite_modes,
+    default_ceiling,
 )
 
 GRID_POINTS = 24
@@ -171,21 +196,30 @@ def _assessment(roots, overtones: int) -> HarmonicAssessment:
     return harmonicity_score(np.sort(roots), max_overtone=overtones + 1)
 
 
-def _stack_objective(profiles, overtones: int, near=None) -> tuple[np.ndarray, np.ndarray]:
+def _stack_objective(profiles, overtones: int, near=None, between=None, n_max=_OBJ_N_MAX):
     """The search value of each profile, all solved as one stack and
     claimed as one array, and _solve_stack's roots, a row per profile in
-    its (m, n) order; near, a pair (guesses, spreads) of rows such as
-    _solve_stack's near and spread, warm-starts the solve.
+    its (m, n) order up to n_max; near, a pair (guesses, spreads) of rows
+    such as _solve_stack's near and spread, warm-starts the solve, and
+    between goes to _solve_stack as it is.
 
-    The search value is harmonic_objective's score plus a penalty of 0.25
-    (a worst-case squared deviation) for every overtone integer left
-    without a claiming mode: a series with a silent tooth is not a series.
-    Modes above the highest scored integer rate against none of them.
+    The search value is harmonic_objective's score, of the roots up to
+    _OBJ_N_MAX, plus a penalty of 0.25 (a worst-case squared deviation)
+    for every overtone integer left without a claiming mode: a series with
+    a silent tooth is not a series.  Modes above the highest scored
+    integer rate against none of them.
     """
     guesses, spreads = (None, None) if near is None else near
-    roots = _solve_stack(profiles, _OBJ_M_MAX, _OBJ_N_MAX, math.inf, near=guesses, spread=spreads)
-    _, claimant, residuals = claim_integers(np.sort(roots, axis=1), overtones + 1)
+    roots = _solve_stack(
+        profiles, _OBJ_M_MAX, n_max, math.inf, near=guesses, spread=spreads, between=between
+    )
+    _, claimant, residuals = claim_integers(np.sort(_scored(roots), axis=1), overtones + 1)
     return np.sum(residuals * residuals, axis=1) + 0.25 * np.sum(claimant < 0, axis=1), roots
+
+
+def _scored(roots) -> np.ndarray:
+    """The columns n <= _OBJ_N_MAX of _solve_stack rows in (m, n) order."""
+    return roots.reshape(len(roots), _OBJ_M_MAX + 1, -1)[:, :, :_OBJ_N_MAX].reshape(len(roots), -1)
 
 
 def _grid_side(budget: int) -> int:
@@ -285,12 +319,16 @@ def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: in
     Evaluates the points in `first`, then a _grid_side(budget)^2 grid, then
     refines from the best point so far with _refine, on _linearise's
     residuals; slope_at(x1, x2) gives the ring slopes that chain the root
-    gradients to x.  Every point goes through one ledger, `solve`: it
-    drops repeats and cached points, solves the new ones that fit in the
-    budget in stacks of _GRID_STACK profiles, gives each point's (value,
-    roots), and stops the search when a new point did not fit.  The first
-    and grid points are one call, solved cold; each refine trial is a
-    stack of one, warm-started from the roots its step predicts.
+    gradients to x.  Every point goes through one ledger: it drops repeats
+    and cached points, solves the new ones that fit in the budget in stacks
+    of _GRID_STACK profiles, keeps each point's (value, roots), and stops
+    the search when a new point did not fit.  Where the first and grid
+    points all fit and _grid_plan orders the grid, they are solved in its
+    two passes: the first points and the lattice cold, then every other
+    grid point in the brackets its lattice corners certify.  Otherwise
+    they are one call, solved cold.  Each refine trial is a stack of one,
+    warm-started from the roots its step predicts.  Every root is its
+    grid cell's however it was bracketed, so the order changes no value.
 
     Returns (x, roots, distinct solves, budget exhausted), where x is the
     _select_best point over everything evaluated and roots its
@@ -298,27 +336,58 @@ def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: in
     """
     cache: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
     best = (math.inf, math.inf, math.inf, None)  # (value, x1, x2, roots)
+    made = {}  # grid profiles built for _grid_plan, each until its solve
+
+    def record(stack, values, roots) -> None:
+        nonlocal best
+        for k, value, row in zip(stack, values.tolist(), roots):
+            cache[k] = value, row
+            best = _select_best([best, (value, *k, row)])
+
+    def objective(stack, **solve_with):
+        profiles = [made.pop(k) if k in made else profile_at(*k) for k in stack]
+        return _stack_objective(profiles, overtones, **solve_with)
 
     def solve(points, near=None) -> list[tuple[float, np.ndarray]]:
-        nonlocal best
         keys = [(float(a), float(b)) for a, b in points]
         new = [k for k in dict.fromkeys(keys) if k not in cache]
         fits = new[: budget - len(cache)]
-        for start in range(0, len(fits), _GRID_STACK):
-            stack = fits[start : start + _GRID_STACK]
-            values, roots = _stack_objective([profile_at(*k) for k in stack], overtones, near=near)
-            for k, value, row in zip(stack, values.tolist(), roots):
-                cache[k] = value, row
-                best = _select_best([best, (value, *k, row)])
+        for stack in _stacks(fits):
+            record(stack, *objective(stack, near=near))
         if len(fits) < len(new):
             raise _BudgetSpent
         return [cache[k] for k in keys]
 
-    side = _grid_side(budget)
-    axes = [np.linspace(lo, hi, side) for lo, hi in bounds]
+    def solve_grid(axes) -> None:
+        grid = [(float(a), float(b)) for a, b in itertools.product(*axes)]
+        keys = list(dict.fromkeys([*((float(a), float(b)) for a, b in first), *grid]))
+        made.update((k, profile_at(*k)) for k in keys[:budget])
+        plan = None
+        if len(keys) <= budget and len(set(grid)) == len(grid):
+            plan = _grid_plan([made[k] for k in grid], len(axes[0]))
+        if plan is None:
+            solve(keys)
+            return
+        lattice, rest, corners, weights = plan
+        # The lattice's roots go one further, to n = _OBJ_N_MAX + 1, for the
+        # certificates of the brackets of root _OBJ_N_MAX.
+        on_grid = set(grid)
+        solved = []
+        for stack in _stacks([k for k in keys if k not in on_grid] + [grid[g] for g in lattice]):
+            values, roots = objective(stack, n_max=_OBJ_N_MAX + 1)
+            record(stack, values, _scored(roots))
+            solved.append(roots)
+        wide = np.full((len(grid), solved[0].shape[1]), np.nan)
+        wide[lattice] = np.concatenate(solved)[-len(lattice) :]
+        aim = np.einsum("cp,cpr->pr", weights, _scored(wide)[corners])
+        for part in _stacks(np.arange(len(rest))):
+            stack = [grid[g] for g in rest[part]]
+            light, heavy = wide[corners[0, part]], wide[corners[-1, part]]
+            record(stack, *objective(stack, between=(light, heavy, aim[part])))
+
     exhausted = False
     try:
-        solve([*first, *itertools.product(*axes)])
+        solve_grid([np.linspace(lo, hi, _grid_side(budget)) for lo, hi in bounds])
         _refine(
             lambda x, near: solve([x], near)[0],
             lambda x, roots: _linearise(profile_at(*x), roots, slope_at(*x), overtones),
@@ -330,14 +399,44 @@ def _grid_refine_search(profile_at, slope_at, bounds, overtones: int, budget: in
     return best[1:3], best[3], len(cache), exhausted
 
 
-def _check_count(name: str, value, least: float, most: float = math.inf) -> None:
-    """Refuse, with ValueError, a count that is not an integer (a bool is
-    not one) or that lies outside [least, most]."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not least <= value <= most:
-        bounds = f"lie in [{least}, {most}]" if most < math.inf else f"be >= {least}"
-        raise ValueError(f"{name} must {bounds}")
+def _stacks(items):
+    """items in consecutive stacks of _GRID_STACK."""
+    return [items[start : start + _GRID_STACK] for start in range(0, len(items), _GRID_STACK)]
+
+
+def _grid_plan(profiles, side: int):
+    """The two passes of a side x side grid, profiles in row-major order,
+    or None unless each profile lies between its lattice corners.
+
+    The lattice holds every other index of each axis and the last one.
+    Every other point P has lattice corners at the lattice indexes next to
+    its own on each axis, at or below them and at or above them; L, the
+    corner below on both axes, and H, the one above on both, must be
+    nowhere heavier and nowhere lighter than P (membrane._nowhere_heavier),
+    so that every root of P lies between theirs.
+    Returns (lattice, rest, corners, weights): the flat indexes of the
+    lattice and of the other points; for each other point its four corners,
+    shape (4, points), L first and H last; and their bilinear weights by
+    index, the same shape, which give its roots' first aims.
+    """
+    if not all(isinstance(p, RadialDensityProfile) for p in profiles):
+        return None
+    marks = np.array(sorted({*range(0, side, 2), side - 1}))
+    axis = np.arange(side)
+    down, up = marks[np.searchsorted(marks, axis, side="right") - 1], marks[np.searchsorted(marks, axis)]
+    share = (axis - down) / np.maximum(up - down, 1)
+    i, j = np.divmod(np.arange(side * side), side)
+    on = np.isin(i, marks) & np.isin(j, marks)
+    rest = np.flatnonzero(~on)
+    i, j = i[rest], j[rest]
+    corners = np.stack([a[i] * side + b[j] for b in (down, up) for a in (down, up)])
+    u, v = share[i], share[j]
+    weights = np.stack([(1.0 - u) * (1.0 - v), u * (1.0 - v), (1.0 - u) * v, u * v])
+    geometry = _ring_geometry(profiles)
+    light, point, heavy = (geometry[..., at] for at in (corners[0], rest, corners[-1]))
+    if not (_nowhere_heavier(light, point) & _nowhere_heavier(point, heavy)).all():
+        return None
+    return np.flatnonzero(on), rest, corners, weights
 
 
 def _check_rings(rings: int) -> None:
@@ -564,8 +663,9 @@ def simulate_layers(
     epsilon, window = stabilization
     if not steps:
         raise ValueError("steps must be non-empty")
-    if not (epsilon > 0 and math.isfinite(epsilon)) or window < 2:
+    if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("need finite epsilon > 0 and window >= 2")
+    _check_count("window", window, 2)
     snapshots = []
     ratios: list[float] = []
     stabilized_at = None

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._jsonfmt import integral, number
 from .bessel import MAX_ORDER, MAX_ZERO_INDEX, _check_order, bessel_zero, integer_jy, zero_table
-from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch
+from .errors import ConvergenceError, InsufficientCeiling, ProfileMismatch, _check_count
 
 BISECT_CAP = 200
 # Steps the polish may fall behind bisection of the same bracket.
@@ -63,6 +63,10 @@ _CHUNK = 1280
 # floats, cells 2^-38 to 2^-37 (3.6e-12 to 7.3e-12) of the root wide; a
 # float64 is on that grid when its low _GRID_BITS mantissa bits are zero.
 _GRID_BITS = 53 - 38
+# A neighbour's root lies within half its cell, at most 2^-38 of it, of the
+# true root; a bracket taken from it is widened by 2^-36 of the root, a few
+# cells either side.
+_BETWEEN_SLACK = 2.0 ** -36
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,25 @@ def _ring_geometry(profiles) -> np.ndarray:
     ]).transpose(0, 2, 1)
 
 
+def _nowhere_heavier(light, heavy) -> np.ndarray:
+    """Whether each profile of the geometry `light` has the rim of its pair
+    in `heavy` and nowhere a greater slowness; both as _ring_geometry
+    gives them, with a column per pair.
+
+    Then no root of the light profile lies below the same (m, n) root of
+    the heavy one (Sturm comparison: the radial problem's weight is r s^2).
+    Each ring of either is compared just inside every ring end of both:
+    the number of a profile's ends below a radius is the ring holding it.
+    """
+    ends = np.concatenate([light[0], heavy[0]])
+
+    def inside(edges, slowness):
+        ring = np.minimum(np.sum(edges[:, None] < ends, axis=0), len(edges) - 1)
+        return np.take_along_axis(slowness, ring, axis=0)
+
+    return (light[0][-1] == heavy[0][-1]) & np.all(inside(*light) <= inside(*heavy), axis=0)
+
+
 def _propagate(geometry, orders, freqs, *, slope=False):
     """Carry the regular solution outward across every ring boundary.
 
@@ -421,17 +444,20 @@ def _polish(
     hi: np.ndarray,
     d_lo: np.ndarray,
     d_hi: np.ndarray,
+    aim: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shrink isolated brackets, one per point of geometry, onto their
     roots' cells on the grid of 38-significant-bit floats.
 
     Each bracket holds one root, at a sign change of D or at an end where
-    D is exactly zero.  Newton on the exact f dD/df that _propagate
+    D is exactly zero; only the signs of d_lo and d_hi are read after the
+    first step.  Newton on the exact f dD/df that _propagate
     carries, safeguarded by bisection.  Each step aims at the Newton point
     of the shortest Newton step from any point so far if that lies
     strictly inside the bracket, and at the midpoint otherwise; before the
-    first step the Newton point is where the chord through the bracket
-    ends crosses zero (a NaN one lies inside no bracket).  So a point pulled off
+    first step the Newton point is the bracket's aim, or where it has none
+    (no aim, or a NaN one) where the chord through the bracket ends
+    crosses zero (a NaN chord lies inside no bracket).  So a point pulled off
     its Newton step by the safeguard does not lose it.  The safeguard
     pulls the aim toward the midpoint just far enough that neither part is
     wider than bisection would have left the bracket _POLISH_SLACK steps
@@ -461,6 +487,8 @@ def _polish(
     pending = np.arange(lo.size)
     width = hi - lo
     newton = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
+    if aim is not None:
+        newton = np.where(np.isnan(aim), newton, aim)
     fix = np.full(lo.size, np.inf)
     for step in range(BISECT_CAP):
         # The grid points at and just above lo, and the last one below hi.
@@ -522,7 +550,8 @@ def composite_modes(
     return _table(profile, m_max, n_max, roots)
 
 
-def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, spread=_NEAR_WIDTH):
+def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, spread=_NEAR_WIDTH,
+                 between=None):
     """composite_modes' roots for each profile in a stack of equal ring count:
     a row per profile in (m, n) order, m major, with no Mode built.
 
@@ -535,8 +564,16 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, 
     broadcast the same way and clipped into [_NEAR_FLOOR, _NEAR_WIDTH]:
     each bracket starts at near * (1 -/+ spread) clipped into its Sturm
     bracket, and an end whose count shows root n beyond it falls back to
-    its Sturm end.  Guesses move only the brackets: each root is its grid
-    cell's, so bit-identical to the cold solve's.
+    its Sturm end.
+    between, if given, is (light, heavy, aim), a row per profile: the roots
+    of a profile nowhere heavier than it and of one nowhere lighter (see
+    _nowhere_heavier), each in (m, n) order up to n_max + 1, and a first
+    polish aim for each of its own roots.  The brackets that
+    _brackets_between certifies, and that end below f_ceiling, go to the
+    polish with no probe and no isolation, D's sign at their ends known
+    from their counts; the others take the Sturm brackets.  Guesses and
+    neighbours move only the brackets: each root is its grid cell's, so
+    bit-identical to the cold solve's.
     """
     if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_ZERO_INDEX):
         raise ValueError(
@@ -565,13 +602,32 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, 
             np.fmin(np.fmax(guess * (1.0 - half), ends[0]), ends[1]),
             np.fmin(np.fmax(guess * (1.0 + half), ends[0]), ends[1]),
         ]
-    # Every end of every bracket in one probe; one row of counts per end.
     point = np.repeat(np.arange(len(profiles)), width)
     m, n = np.tile(m, len(profiles)), np.tile(n, len(profiles))
-    counts, ds = _probe(
-        geometry[..., np.tile(point, len(ends))], np.tile(m, len(ends)), np.concatenate(ends)
+    sure, aim = np.zeros(m.size, dtype=bool), None
+    if between is not None:
+        light, heavy, first = between
+        sure_lo, sure_hi, sure = _brackets_between(light, heavy, n_max)
+        sure &= sure_hi <= f_ceiling
+        aim = np.where(sure, np.ravel(first), np.nan)
+    # Every end of every other bracket in one probe; one row of counts per end.
+    probed = np.flatnonzero(~sure)
+    counts, ds = np.empty((len(ends), m.size), dtype=int), np.empty((len(ends), m.size))
+    found = _probe(
+        geometry[..., np.tile(point[probed], len(ends))],
+        np.tile(m[probed], len(ends)),
+        np.concatenate([end[probed] for end in ends]),
     )
-    counts, ds = counts.reshape(len(ends), -1), ds.reshape(len(ends), -1)
+    counts[:, probed], ds[:, probed] = (a.reshape(len(ends), -1) for a in found)
+    if sure.any():
+        # N_m is n - 1 at a certified low end and n at a high one, and D is
+        # positive below the first root, so its signs there alternate.
+        sign = np.where(n % 2 == 1, 1.0, -1.0)
+        for row, end in enumerate(ends):
+            low = row % 2 == 0
+            end[sure] = (sure_lo if low else sure_hi)[sure]
+            counts[row, sure] = (n - 1 if low else n)[sure]
+            ds[row, sure] = (sign if low else -sign)[sure]
     geometry = geometry[..., point]
 
     # N_m(f_ceiling) where f_ceiling capped hi, one row per profile.
@@ -603,8 +659,32 @@ def _solve_stack(profiles, m_max: int, n_max: int, f_ceiling: float, near=None, 
         raise ConvergenceError("an isolated mode has D of one sign, or NaN, at its bracket ends")
     # N_m(lo) = n - 1 roots lie below lo, so D(lo) = 0 makes lo root n itself.
     hi = np.where(d_lo == 0.0, lo, hi)
-    roots = _polish(geometry, m, lo, hi, d_lo, d_hi).reshape(len(profiles), width)
+    roots = _polish(geometry, m, lo, hi, d_lo, d_hi, aim).reshape(len(profiles), width)
     return roots
+
+
+def _brackets_between(light, heavy, n_max: int):
+    """Brackets of each root (m, n <= n_max) of profiles that lie between a
+    lighter and a heavier neighbour, and whether each is certified.
+
+    light and heavy hold the neighbours' _solve_stack rows, a row per
+    profile, each in (m, n) order up to n_max + 1.  By Sturm comparison
+    (Courant & Hilbert, vol. 1, ch. VI) root (m, n) lies between the
+    heavier's root (m, n) and the lighter's, so the bracket is
+    [heavy (1 - _BETWEEN_SLACK), light (1 + _BETWEEN_SLACK)].  It holds
+    root n alone, so that N_m is n - 1 at its low end and n at its high
+    end, when the lighter's root n - 1, raised the same way, lies below it
+    and the heavier's root n + 1, lowered, above it.
+    Returns (lo, hi, certified), each flat in _solve_stack's bracket order.
+    """
+    light, heavy = (np.asarray(a, dtype=float) for a in (light, heavy))
+    light = light.reshape(len(light), -1, n_max + 1) * (1.0 + _BETWEEN_SLACK)
+    heavy = heavy.reshape(len(heavy), -1, n_max + 1) * (1.0 - _BETWEEN_SLACK)
+    lo, hi = heavy[..., :-1], light[..., :-1]
+    # Nothing lies below root 1.
+    under = np.concatenate([np.zeros(lo.shape[:-1] + (1,)), light[..., :-2]], axis=-1)
+    certified = (under < lo) & (heavy[..., 1:] > hi)
+    return lo.ravel(), hi.ravel(), certified.ravel()
 
 
 def _lommel(orders, x, z, w):
@@ -684,8 +764,7 @@ def mode_shape(profile: RadialDensityProfile, mode: Mode, samples: int = 256) ->
     rim sample is the clamped boundary and is exactly zero.  Raises
     DomainError unless mode.m is an integer in [0, 12].
     """
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
+    _check_count("samples", samples, 64)
     _check_order(mode.m)
     fp = profile.fingerprint()
     if mode.source_fingerprint != fp:

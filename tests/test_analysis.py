@@ -148,6 +148,13 @@ class TestDetectPeaks:
         with pytest.raises(ValueError, match="max_peaks must be >= 1"):
             detect_peaks(s, 12.0, max_peaks)
 
+    @pytest.mark.parametrize("max_peaks", [2.5, 3.0, True])
+    def test_max_peaks_must_be_an_integer(self, max_peaks):
+        # 2.5 failed in slicing with a TypeError, and True was taken as 1.
+        s = compute_spectrum(sine(440.0), FS, 4096)
+        with pytest.raises(ValueError, match="max_peaks must be an integer"):
+            detect_peaks(s, 12.0, max_peaks=max_peaks)
+
     def test_sorted_by_magnitude_and_truncated(self):
         x = sine(300.0) + 0.5 * sine(700.0) + 0.25 * sine(1100.0)
         peaks = detect_peaks(compute_spectrum(x, FS, 16384), 12.0, 2)

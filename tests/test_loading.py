@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from membrane_lab import loading
+from membrane_lab import loading, membrane
 from membrane_lab.config import load_layer_sequence, load_profile
 from membrane_lab.errors import SolverError
 from membrane_lab.harmonicity import HarmonicAssessment
@@ -65,9 +67,9 @@ def count_solves(monkeypatch) -> list:
     solved = []
     stack_objective = loading._stack_objective
 
-    def counted_stack(profiles, overtones, near=None):
+    def counted_stack(profiles, overtones, near=None, **solve_with):
         solved.extend(p.rings for p in profiles)
-        return stack_objective(profiles, overtones, near)
+        return stack_objective(profiles, overtones, near, **solve_with)
 
     monkeypatch.setattr(loading, "_stack_objective", counted_stack)
     return solved
@@ -255,48 +257,60 @@ class TestOptimizer:
             assert value.hex() == expected.hex()
 
     def test_grid_stage_work(self, monkeypatch):
-        # Counts, not time: the 24 x 24 grid of a budget-2000 search, solved
-        # in two stacks of _GRID_STACK profiles, takes 117 _propagate calls;
-        # in nine stacks of 64 it took 182, and one profile at a time 13,424.
+        # Counts, not time: the 24 x 24 grid of a budget-2000 search is its
+        # 13 x 13 lattice, one stack solved cold to n = 5, then the other
+        # 407 points in stacks of _GRID_STACK, each root in the bracket its
+        # lattice corners certify; 101 _propagate calls and 78,580 points.
+        # Two cold stacks of 288 took 117 calls and 108,481 points, nine
+        # stacks of 64 took 182 calls, and one profile at a time 13,424.
         from membrane_lab import membrane
 
-        calls = []
+        stacks, calls, points = [], [], []
         propagate, stack_objective = membrane._propagate, loading._stack_objective
 
         def counted_propagate(*args, **kwargs):
+            out = propagate(*args, **kwargs)
             calls[-1] += 1
-            return propagate(*args, **kwargs)
+            points.append(out[2].size)
+            return out
 
-        def counted_stack(profiles, overtones, near=None):
+        def counted_stack(profiles, overtones, near=None, between=None, n_max=loading._OBJ_N_MAX):
+            stacks.append((len(profiles), n_max, between is not None))
             calls.append(0)
-            return stack_objective(profiles, overtones, near)
+            return stack_objective(profiles, overtones, near, between, n_max)
 
         monkeypatch.setattr(membrane, "_propagate", counted_propagate)
         monkeypatch.setattr(loading, "_stack_objective", counted_stack)
         monkeypatch.setattr(loading, "_refine", lambda *args: None)
         optimize_two_region(budget=2000)
-        assert len(calls) == math.ceil(24 * 24 / loading._GRID_STACK) == 2
-        assert sum(calls) <= 120
+        assert loading._GRID_STACK == 288
+        assert stacks == [(13 * 13, 5, False), (288, 4, True), (24 * 24 - 13 * 13 - 288, 4, True)]
+        assert sum(calls) <= 101
+        assert sum(points) <= 78_600
 
     def test_design_job_work(self, monkeypatch):
-        # Counts, not time: this budget-2000 design job takes 180 _propagate
-        # calls, its 16 refine solves warm-started from the roots each step
-        # predicts, each bracketed by its predicted change.  With brackets of
-        # 1e-3 either side and nine grid stacks it took 264; its simplex
-        # refine took 955 (134 solves, each started from the solve before),
-        # and 2,914 started from the Sturm brackets.
+        # Counts, not time: this budget-2000 design job takes 185 _propagate
+        # calls and 76,386 points: its grid in two passes (see
+        # test_grid_stage_work), then 16 refine solves warm-started from the
+        # roots each step predicts, each bracketed by its predicted change.
+        # With a cold grid of two stacks it took 180 calls and 103,257
+        # points; with brackets of 1e-3 either side and nine grid stacks, 264
+        # calls; its simplex refine took 955 (134 solves, each started from
+        # the solve before), and 2,914 started from the Sturm brackets.
         from membrane_lab import membrane
 
-        calls = []
+        points = []
         propagate = membrane._propagate
 
         def counted_propagate(*args, **kwargs):
-            calls.append(args)
-            return propagate(*args, **kwargs)
+            out = propagate(*args, **kwargs)
+            points.append(out[2].size)
+            return out
 
         monkeypatch.setattr(membrane, "_propagate", counted_propagate)
         optimize_two_region((0.104, 0.695), (1.229, 7.628), overtones=5, budget=2000)
-        assert len(calls) <= 185
+        assert len(points) <= 185
+        assert sum(points) <= 76_400
 
     def test_design_search_builds_no_mode(self, monkeypatch):
         # The search scores root arrays: it makes no Mode (so no ModeTable
@@ -355,6 +369,103 @@ class TestOptimizer:
             "budget_exhausted",
             "seed",
         }
+
+
+def solve_with_grid(search, cold=False):
+    """Run search() with the grid's two passes or, if cold, with the cold
+    grid.  Returns its report, its assessment's hex, every profile solved
+    (its rings, and in which stacks: (profiles, n_max, bracketed)) with
+    the hex of its value and of its roots up to n = _OBJ_N_MAX, and the
+    brackets _brackets_between left uncertified, per call."""
+    solved, stacks, uncertified = {}, [], []
+    stack_objective, brackets_between = loading._stack_objective, membrane._brackets_between
+
+    def recorded(profiles, overtones, near=None, between=None, n_max=loading._OBJ_N_MAX):
+        values, roots = stack_objective(profiles, overtones, near, between, n_max)
+        stacks.append((len(profiles[0].rings), len(profiles), n_max, between is not None))
+        for p, value, row in zip(profiles, values.tolist(), loading._scored(roots)):
+            solved[p.rings] = value.hex(), tuple(r.hex() for r in row.tolist())
+        return values, roots
+
+    def counted(*args):
+        lo, hi, certified = brackets_between(*args)
+        uncertified.append(int(np.sum(~certified)))
+        return lo, hi, certified
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loading, "_stack_objective", recorded)
+        patch.setattr(membrane, "_brackets_between", counted)
+        if cold:
+            patch.setattr(loading, "_grid_plan", lambda *args: None)
+        res = search()
+    return res.to_json_dict(), assessment_hex(res.assessment), solved, stacks, uncertified
+
+
+def box_bounds(low, high):
+    """Two distinct, sorted floats in [low, high]."""
+    pairs = st.tuples(st.floats(low, high), st.floats(low, high)).map(sorted)
+    return pairs.filter(lambda b: b[0] < b[1]).map(tuple)
+
+
+class TestGridInBrackets:
+    # The grid's second pass solves each point in brackets its lattice
+    # corners certify; every root is still its own grid cell, so every
+    # value, root and report must be the cold grid's, bit for bit.
+
+    @settings(max_examples=6, deadline=None)
+    @given(fractions=box_bounds(0.1, 0.7), ratios=box_bounds(1.0, 16.0), budget=st.integers(200, 2000))
+    def test_every_grid_point_is_the_cold_grids(self, fractions, ratios, budget):
+        def search():
+            return optimize_two_region(fractions, ratios, budget=budget)
+
+        report, assessment, solved, stacks, uncertified = solve_with_grid(search)
+        cold = solve_with_grid(search, cold=True)
+        assert any(bracketed for *_, bracketed in stacks) and uncertified
+        assert not any(bracketed for *_, bracketed in cold[3])
+        assert (report, assessment, solved) == cold[:3]
+
+    @pytest.mark.parametrize(
+        "bounds, fallbacks",
+        [(((0.1, 0.7), (1.0, 16.0)), 105), (((0.104, 0.695), (1.229, 7.628)), 0)],
+        ids=["default-box", "bench-box"],
+    )
+    def test_fallback_brackets_keep_the_cold_grid(self, bounds, fallbacks):
+        # The default box's grid has 8,140 brackets in its second pass, and
+        # 105 of them fail their certificate and take the probe and the
+        # isolation; the bench box's take none.
+        def search():
+            return optimize_two_region(*bounds, budget=2000)
+
+        report, assessment, solved, stacks, uncertified = solve_with_grid(search)
+        assert sum(uncertified) == fallbacks
+        assert (report, assessment, solved) == solve_with_grid(search, cold=True)[:3]
+
+    def test_graded_grid_stays_cold(self):
+        # The taper moves mass outward, so the graded (mass, taper) grid
+        # is not ordered: its first point and 23 x 23 grid are solved cold,
+        # in the stacks the cold grid takes.
+        def search():
+            return optimize_graded(rings=16, budget=800, seed_budget=300)
+
+        report, assessment, solved, stacks, _ = solve_with_grid(search)
+        graded = [stack for stack in stacks if stack[0] == 17]
+        assert graded[:2] == [(17, 288, 4, False), (17, 1 + 23 * 23 - 288, 4, False)]
+        assert not any(bracketed for *_, bracketed in graded)
+        assert (report, assessment, solved) == solve_with_grid(search, cold=True)[:3]
+
+    def test_an_unordered_grid_has_no_plan(self):
+        # A 3 x 3 grid: the lattice is its corners, and the other five
+        # points lie between the corners next to them.
+        profiles = [graded_profile(0.4, m, t, 4) for m in (0.1, 0.2, 0.3) for t in (0.0, 1.0, 2.0)]
+        assert loading._grid_plan(profiles, 3) is None
+        ordered = [TwoRegionCandidate(f, r).to_profile() for f in (0.2, 0.3, 0.4) for r in (2.0, 3.0, 4.0)]
+        lattice, rest, corners, weights = loading._grid_plan(ordered, 3)
+        assert lattice.tolist() == [0, 2, 6, 8] and rest.tolist() == [1, 3, 4, 5, 7]
+        assert corners.tolist() == [[0, 0, 0, 2, 6], [0, 6, 6, 8, 6], [2, 0, 2, 2, 8], [2, 6, 8, 8, 8]]
+        assert np.array_equal(weights.sum(axis=0), np.ones(5))
+        # Swapping two of its points breaks the order.
+        ordered[4], ordered[5] = ordered[5], ordered[4]
+        assert loading._grid_plan(ordered, 3) is None
 
 
 @pytest.fixture(scope="module")
@@ -558,6 +669,10 @@ class TestSimulateLayers:
             simulate_layers(self.BASE, [LayerStep(0.4, 0.1)], stabilization=(0.0, 3))
         with pytest.raises(ValueError):
             simulate_layers(self.BASE, [LayerStep(0.4, 0.1)], stabilization=(0.01, 1))
+        # A float window failed in slicing with a TypeError; a bool is no count.
+        for window in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="window must be an integer"):
+                simulate_layers(self.BASE, [LayerStep(0.4, 0.1)], stabilization=(0.002, window))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_non_finite_epsilon_rejected(self, epsilon):
@@ -707,8 +822,8 @@ def test_refine_brackets_hold_nearly_every_root(monkeypatch):
     held = []
     solve = loading._solve_stack
 
-    def counted(profiles, m_max, n_max, f_ceiling, near=None, spread=None):
-        roots = solve(profiles, m_max, n_max, f_ceiling, near=near, spread=spread)
+    def counted(profiles, m_max, n_max, f_ceiling, near=None, spread=None, between=None):
+        roots = solve(profiles, m_max, n_max, f_ceiling, near=near, spread=spread, between=between)
         if near is not None:
             half = np.clip(spread, membrane._NEAR_FLOOR, membrane._NEAR_WIDTH)
             held.extend(((near * (1.0 - half) <= roots) & (roots <= near * (1.0 + half))).ravel())

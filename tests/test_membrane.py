@@ -775,6 +775,56 @@ class TestWarmStart:
         assert [f.hex() for f in warm] == [f.hex() for f in cold]
 
 
+class TestBetweenNeighbours:
+    @staticmethod
+    def neighbours(profile, lighter, heavier):
+        """The n <= 5 roots of the profile with every density scaled by
+        1 - lighter and by 1 + heavier: nowhere heavier and nowhere lighter."""
+        return [
+            membrane._solve_stack(
+                [RadialDensityProfile(profile.radius, profile.tension, tuple((f, s * c) for f, s in profile.rings))],
+                4, 5, math.inf,
+            )
+            for c in (1.0 - lighter, 1.0 + heavier)
+        ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(profile=ring_profiles(), lighter=st.floats(0.0, 0.3), heavier=st.floats(0.0, 0.3),
+           share=st.floats(-0.5, 1.5))
+    def test_solve_between_neighbours_is_the_cold_solve_bit_for_bit(self, profile, lighter, heavier, share):
+        # Brackets that the neighbours certify and those that fail their
+        # certificate and take the Sturm brackets both polish onto the cold
+        # solve's cells, from any first aim, inside the bracket or not.
+        light, heavy = self.neighbours(profile, lighter, heavier)
+        _, _, certified = membrane._brackets_between(light, heavy, 4)
+        if lighter == heavier == 0.0:
+            assert certified.all()
+        keep = lambda roots: roots.reshape(1, 5, 5)[:, :, :4].reshape(1, 20)
+        aim = share * keep(light) + (1.0 - share) * keep(heavy)
+        cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        warm = membrane._solve_stack([profile], 4, 4, math.inf, between=(light, heavy, aim))[0]
+        assert [f.hex() for f in warm] == [f.hex() for f in cold]
+
+    @pytest.mark.parametrize("above", [1.0 + 1e-6, 1.0 - 1e-6], ids=["clear", "short"])
+    def test_a_ceiling_below_a_certified_bracket_is_the_cold_solves(self, above):
+        # A certified bracket that ends above f_ceiling takes the Sturm
+        # bracket, capped at the ceiling: the solve, or its refusal, is
+        # the cold one's.
+        profile = two_ring(0.4, 3.7)
+        light, heavy = self.neighbours(profile, 1e-4, 1e-4)
+        cold = membrane._solve_stack([profile], 4, 4, math.inf)[0]
+        ceiling = cold.max() * above
+        aim = cold[None] * (1.0 + 1e-9)
+        outcomes = []
+        for between in (None, (light, heavy, aim)):
+            try:
+                outcomes.append(membrane._solve_stack([profile], 4, 4, ceiling, between=between)[0].tolist())
+            except InsufficientCeiling as exc:
+                outcomes.append((exc.azimuthal_order, exc.found, exc.requested))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], tuple) == (above < 1.0)
+
+
 def scipy_jy(orders, x):
     """The kernel's Bessel values evaluated point by point by scipy's jv and
     yn, as the kernel took them before the ladder."""
@@ -1007,6 +1057,14 @@ class TestModeShape:
         other = two_ring(0.5, 3.2)
         with pytest.raises(ProfileMismatch):
             mode_shape(other, self.table[0], 128)
+
+    @pytest.mark.parametrize(
+        "samples, message", [(63, "samples must be >= 64"), (100.5, "must be an integer"), (True, "must be an integer")]
+    )
+    def test_samples_must_be_an_integer_of_at_least_64(self, samples, message):
+        # 100.5 failed in np.linspace with a TypeError.
+        with pytest.raises(ValueError, match=message):
+            mode_shape(self.profile, self.table[0], samples=samples)
 
     @pytest.mark.parametrize("order", [-5, -1, 13])
     def test_order_outside_the_bessel_tables_is_a_domain_error(self, order):
