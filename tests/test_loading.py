@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,6 +439,30 @@ class TestGridInBrackets:
 
         report, assessment, solved, stacks, uncertified = solve_with_grid(search)
         assert sum(uncertified) == fallbacks
+        assert (report, assessment, solved) == solve_with_grid(search, cold=True)[:3]
+
+    def test_first_points_join_the_lattice_pass(self):
+        # A first point off the grid is solved with the lattice; one on a
+        # lattice point and one on another grid point are solved once, in
+        # their own pass.  The search is the cold grid's, bit for bit.
+        bounds = (loading.DEFAULT_FRACTION_BOUNDS, loading.DEFAULT_RATIO_BOUNDS)
+        axes = [np.linspace(lo, hi, loading._grid_side(200)) for lo, hi in bounds]
+        first = [(0.35, 3.0), (axes[0][2], axes[1][4]), (axes[0][3], axes[1][4])]
+
+        def search():
+            x, roots, used, exhausted = loading._grid_refine_search(
+                lambda f, r: TwoRegionCandidate(f, r).to_profile(),
+                lambda f, r: (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]])),
+                bounds, 5, 200, first=first,
+            )
+            return SimpleNamespace(
+                to_json_dict=lambda: (x, [r.hex() for r in roots.tolist()], used, exhausted),
+                assessment=loading._assessment(roots, 5),
+            )
+
+        report, assessment, solved, stacks, _ = solve_with_grid(search)
+        assert stacks[:2] == [(2, 1 + 6 * 6, 5, False), (2, 11 * 11 - 6 * 6, 4, True)]
+        assert report[2] == len(solved) and not report[3]
         assert (report, assessment, solved) == solve_with_grid(search, cold=True)[:3]
 
     def test_graded_grid_stays_cold(self):
